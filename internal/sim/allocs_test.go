@@ -36,11 +36,21 @@ func steadyStateAllocs(t *testing.T, specName string, routing func(*Spec) Routin
 	})
 }
 
+// mpUGALRouting is the MP-UGAL engine RunPoint builds: UGAL-L plus the
+// default spanning-tree lanes.
+func mpUGALRouting(s *Spec) Routing {
+	r, err := s.MultiPathRouting(s.UGALRouting(4), 0, 4)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // TestSteadyStateCycleZeroAllocs is the simulator hot-loop regression
 // guard: once warmed up, a simulation cycle — packet generation, routing,
 // VC allocation, forwarding, delivery — performs zero heap allocations,
-// for both the analytic-minimal and the adaptive UGAL configurations,
-// with telemetry off and on (the obs layer sizes all its storage at
+// for the analytic-minimal, the adaptive UGAL and the multipath MP-UGAL
+// configurations, with telemetry off and on (the obs layer sizes all its storage at
 // engine construction, so observing a run must stay free).
 func TestSteadyStateCycleZeroAllocs(t *testing.T) {
 	cases := []struct {
@@ -52,6 +62,8 @@ func TestSteadyStateCycleZeroAllocs(t *testing.T) {
 		{"ugal", func(s *Spec) Routing { return s.UGALRouting(4) }, false},
 		{"min-metrics", func(s *Spec) Routing { return s.MinRouting() }, true},
 		{"ugal-metrics", func(s *Spec) Routing { return s.UGALRouting(4) }, true},
+		{"mp-ugal", mpUGALRouting, false},
+		{"mp-ugal-metrics", mpUGALRouting, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
