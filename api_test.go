@@ -109,7 +109,7 @@ func TestFacadeSimSmoke(t *testing.T) {
 	}
 	p := polarstar.DefaultSimParams(1)
 	p.Warmup, p.Measure, p.Drain = 200, 400, 1000
-	res, err := polarstar.Sweep(spec, polarstar.MINRouting, "uniform", []float64{0.1}, p)
+	res, err := polarstar.Sweep(spec, polarstar.MINRouting, "uniform", []float64{0.1}, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestFacadeMultipathResilience(t *testing.T) {
 
 	p := polarstar.DefaultSimParams(1)
 	p.Warmup, p.Measure, p.Drain = 200, 400, 1200
-	res, err := polarstar.Sweep(spec, polarstar.MPUGALRouting, "uniform", []float64{0.1}, p)
+	res, err := polarstar.Sweep(spec, polarstar.MPUGALRouting, "uniform", []float64{0.1}, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestFacadeMultipathResilience(t *testing.T) {
 		RepairDelay: 50,
 		Seed:        3,
 	}
-	curves, err := polarstar.ResilienceSweep(spec, cfg, p)
+	curves, err := polarstar.ResilienceSweep(spec, cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestFacadeErrorsNotPanics(t *testing.T) {
 		if _, err := polarstar.RunSimPoint(context.Background(), spec, polarstar.MINRouting, "uniform", 0.1, p); err == nil {
 			t.Errorf("case %d: RunSimPoint accepted invalid params %+v", i, p)
 		}
-		if _, err := polarstar.Sweep(spec, polarstar.MINRouting, "uniform", []float64{0.1}, p); err == nil {
+		if _, err := polarstar.Sweep(spec, polarstar.MINRouting, "uniform", []float64{0.1}, p, nil); err == nil {
 			t.Errorf("case %d: Sweep accepted invalid params %+v", i, p)
 		}
 	}

@@ -57,7 +57,7 @@ func runFig9(b *testing.B, mode sim.RoutingMode, pattern string) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := sim.Sweep(spec, mode, pattern, simLoads(), simParams(1))
+			res, err := sim.Sweep(spec, mode, pattern, simLoads(), simParams(1), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -316,7 +316,7 @@ func BenchmarkFig14FaultTolerance(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			tr, err := faults.MedianTrial(spec.Graph, faults.Hosts(spec.Hosts), trials, 1, faults.DefaultFracs)
+			tr, err := faults.MedianTrial(spec.Graph, faults.Hosts(spec.Hosts), trials, 1, faults.DefaultFracs, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -430,7 +430,7 @@ func BenchmarkAblationUGALVariants(b *testing.B) {
 	for _, mode := range []sim.RoutingMode{sim.UGALMode, sim.UGALGMode} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := sim.Sweep(spec, mode, "adversarial", loads, params)
+				res, err := sim.Sweep(spec, mode, "adversarial", loads, params, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

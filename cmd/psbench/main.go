@@ -138,7 +138,7 @@ func main() {
 		runtime.GC()
 		runtime.ReadMemStats(&ms0)
 		start := time.Now()
-		if _, err := sim.SweepObs(spec, c.mode, "uniform", loads, p, sm); err != nil {
+		if _, err := sim.Sweep(spec, c.mode, "uniform", loads, p, sm); err != nil {
 			fmt.Fprintln(os.Stderr, "psbench:", err)
 			os.Exit(1)
 		}

@@ -103,7 +103,7 @@ func main() {
 	var tr faults.Trial
 	var trErr error
 	prof.Task(func() {
-		tr, trErr = faults.MedianTrialObs(spec.Graph, hosts, *trials, *seed, faults.DefaultFracs, fm)
+		tr, trErr = faults.MedianTrial(spec.Graph, hosts, *trials, *seed, faults.DefaultFracs, fm)
 	}, "phase", "faults", "spec", spec.Name)
 	if trErr != nil {
 		fatal(trErr)
@@ -225,7 +225,7 @@ func runResilience(spec *sim.Spec, pattern string, load float64, seed int64, wor
 	var curves []faults.ResilienceCurve
 	var err error
 	prof.Task(func() {
-		curves, err = faults.ResilienceSweepObs(spec, cfg, params, fr)
+		curves, err = faults.ResilienceSweep(spec, cfg, params, fr)
 	}, "phase", "fault-resilience", "spec", spec.Name)
 	if err != nil {
 		fatal(err)
@@ -308,7 +308,7 @@ func runTraffic(spec *sim.Spec, mode, pattern string, load float64, seed int64, 
 	var pts []faults.TrafficPoint
 	var err error
 	prof.Task(func() {
-		pts, err = faults.TrafficSweepObs(spec, m, pattern, load, faults.DefaultFracs, params, seed, ft)
+		pts, err = faults.TrafficSweep(spec, m, pattern, load, faults.DefaultFracs, params, seed, ft)
 	}, "phase", "fault-traffic", "spec", spec.Name)
 	if err != nil {
 		fatal(err)

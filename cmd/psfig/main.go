@@ -249,7 +249,7 @@ func simPanel(c ctx, fileStem string, mode sim.RoutingMode, pattern string) erro
 			sm = obs.NewSimSweep(name, mode.String(), pattern, len(c.loads()))
 			c.fig.Sims = append(c.fig.Sims, sm)
 		}
-		res, err := sim.SweepObs(spec, mode, pattern, c.loads(), c.simParams(), sm)
+		res, err := sim.Sweep(spec, mode, pattern, c.loads(), c.simParams(), sm)
 		if err != nil {
 			return err
 		}
@@ -416,7 +416,7 @@ func fig14(c ctx) error {
 			fm = &obs.FaultSweep{Spec: name}
 			c.fig.Faults = append(c.fig.Faults, fm)
 		}
-		tr, err := faults.MedianTrialObs(spec.Graph, faults.Hosts(spec.Hosts), trials, c.seed, faults.DefaultFracs, fm)
+		tr, err := faults.MedianTrial(spec.Graph, faults.Hosts(spec.Hosts), trials, c.seed, faults.DefaultFracs, fm)
 		if err != nil {
 			return err
 		}

@@ -112,7 +112,7 @@ func main() {
 	fmt.Printf("# %s: %d routers, %d endpoints\n", spec.Name, spec.Graph.N(), spec.Endpoints())
 	var res sim.SweepResult
 	prof.Task(func() {
-		res, err = sim.SweepObs(spec, mode, *pattern, loads, params, sm)
+		res, err = sim.Sweep(spec, mode, *pattern, loads, params, sm)
 	}, "phase", "sweep", "spec", spec.Name)
 	if err != nil {
 		fatal(err)

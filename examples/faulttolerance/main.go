@@ -20,7 +20,7 @@ func main() {
 		}
 		// 15 trials, report the median-disconnection-ratio scenario
 		// (the paper uses 100 trials at full scale).
-		tr, err := polarstar.FaultMedianTrial(spec.Graph, nil, 15, 7, fracs)
+		tr, err := polarstar.FaultMedianTrial(spec.Graph, nil, 15, 7, fracs, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

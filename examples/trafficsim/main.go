@@ -25,7 +25,7 @@ func main() {
 			spec.Name, spec.Graph.N(), spec.Endpoints())
 		for _, pattern := range []string{"uniform", "adversarial"} {
 			for _, mode := range []polarstar.RoutingMode{polarstar.MINRouting, polarstar.UGALRouting} {
-				res, err := polarstar.Sweep(spec, mode, pattern, loads, params)
+				res, err := polarstar.Sweep(spec, mode, pattern, loads, params, nil)
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -58,7 +58,7 @@ func TestAnalyticBoundDominatesSimulation(t *testing.T) {
 
 	p := sim.DefaultParams(1)
 	p.Warmup, p.Measure, p.Drain = 500, 1000, 2000
-	res, err := sim.Sweep(spec, sim.MIN, "adversarial", []float64{0.05, 0.1, 0.2, 0.4}, p)
+	res, err := sim.Sweep(spec, sim.MIN, "adversarial", []float64{0.05, 0.1, 0.2, 0.4}, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -273,16 +273,11 @@ func RunTrial(g *graph.Graph, hosts Hosts, seed int64, fracs []float64) (Trial, 
 
 // MedianTrial runs `trials` independent scenarios and returns the one
 // with the median disconnection ratio (the paper's reporting protocol).
-func MedianTrial(g *graph.Graph, hosts Hosts, trials int, seed int64, fracs []float64) (Trial, error) {
-	return MedianTrialObs(g, hosts, trials, seed, fracs, nil)
-}
-
-// MedianTrialObs is MedianTrial with telemetry: when fm is non-nil it
-// records the intact diameter, one FaultTrial (seed + disconnection
-// ratio) per ranked scenario in scenario order, and the fully sampled
-// median trial's degraded-point and lost-pair counters. The returned
-// Trial is identical with fm on or off.
-func MedianTrialObs(g *graph.Graph, hosts Hosts, trials int, seed int64, fracs []float64, fm *obs.FaultSweep) (Trial, error) {
+// fm may be nil (unobserved); otherwise it records the intact diameter,
+// one FaultTrial (seed + disconnection ratio) per ranked scenario in
+// scenario order, and the fully sampled median trial's degraded-point
+// and lost-pair counters. The returned Trial is identical either way.
+func MedianTrial(g *graph.Graph, hosts Hosts, trials int, seed int64, fracs []float64, fm *obs.FaultSweep) (Trial, error) {
 	if err := validateTrials(g, hosts, trials, fracs); err != nil {
 		return Trial{}, err
 	}

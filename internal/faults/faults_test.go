@@ -59,8 +59,8 @@ func TestDisconnectionRatioExact(t *testing.T) {
 
 func TestMedianTrialDeterministic(t *testing.T) {
 	ps := topo.MustNewPolarStar(3, 3, topo.KindIQ)
-	a := mustTrial(MedianTrial(ps.G, nil, 9, 7, []float64{0, 0.2}))
-	b := mustTrial(MedianTrial(ps.G, nil, 9, 7, []float64{0, 0.2}))
+	a := mustTrial(MedianTrial(ps.G, nil, 9, 7, []float64{0, 0.2}, nil))
+	b := mustTrial(MedianTrial(ps.G, nil, 9, 7, []float64{0, 0.2}, nil))
 	if a.Seed != b.Seed || a.DisconnectionRatio != b.DisconnectionRatio {
 		t.Error("MedianTrial not deterministic")
 	}
@@ -92,8 +92,8 @@ func TestResilienceOrderingDFDiameterGrowsFast(t *testing.T) {
 	df := topo.MustNewDragonfly(8, 4)
 	hx := topo.MustNewHyperX(5, 5, 5)
 	fr := []float64{0, 0.1}
-	dfTr := mustTrial(MedianTrial(df.G, nil, 5, 11, fr))
-	hxTr := mustTrial(MedianTrial(hx.G, nil, 5, 11, fr))
+	dfTr := mustTrial(MedianTrial(df.G, nil, 5, 11, fr, nil))
+	hxTr := mustTrial(MedianTrial(hx.G, nil, 5, 11, fr, nil))
 	if dfTr.Curve[1].Diameter <= dfTr.Curve[0].Diameter {
 		t.Errorf("dragonfly diameter did not grow under 10%% failures: %d -> %d",
 			dfTr.Curve[0].Diameter, dfTr.Curve[1].Diameter)
@@ -139,10 +139,10 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := RunTrial(ps.G, nil, 1, []float64{0.4, 0.2}); err == nil {
 		t.Error("descending failure fractions accepted")
 	}
-	if _, err := MedianTrial(ps.G, nil, 0, 1, []float64{0}); err == nil {
+	if _, err := MedianTrial(ps.G, nil, 0, 1, []float64{0}, nil); err == nil {
 		t.Error("zero trial count accepted")
 	}
-	if _, err := MedianTrial(ps.G, nil, -3, 1, []float64{0}); err == nil {
+	if _, err := MedianTrial(ps.G, nil, -3, 1, []float64{0}, nil); err == nil {
 		t.Error("negative trial count accepted")
 	}
 	if _, err := RunBands(ps.G, nil, 0, 1, []float64{0}); err == nil {

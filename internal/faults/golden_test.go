@@ -55,7 +55,7 @@ func TestGoldenTrialPSIQSmall(t *testing.T) {
 
 func TestGoldenMedianTrial(t *testing.T) {
 	spec := sim.MustNewSpec("ps-iq-small")
-	med, err := faults.MedianTrial(spec.Graph, nil, 5, 1, faults.DefaultFracs)
+	med, err := faults.MedianTrial(spec.Graph, nil, 5, 1, faults.DefaultFracs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,9 @@ import (
 func TestMedianTrialObsDoesNotPerturb(t *testing.T) {
 	ps := topo.MustNewPolarStar(3, 3, topo.KindIQ)
 	fracs := []float64{0, 0.2, 0.4, 0.6}
-	plain := mustTrial(MedianTrial(ps.G, nil, 7, 11, fracs))
+	plain := mustTrial(MedianTrial(ps.G, nil, 7, 11, fracs, nil))
 	var fm obs.FaultSweep
-	observed := mustTrial(MedianTrialObs(ps.G, nil, 7, 11, fracs, &fm))
+	observed := mustTrial(MedianTrial(ps.G, nil, 7, 11, fracs, &fm))
 	if !reflect.DeepEqual(plain, observed) {
 		t.Errorf("observed trial %+v differs from plain %+v", observed, plain)
 	}
@@ -31,7 +31,7 @@ func TestMedianTrialObsAccounting(t *testing.T) {
 	fracs := []float64{0, 0.2, 0.4, 0.6, 0.8}
 	const trials = 7
 	var fm obs.FaultSweep
-	tr := mustTrial(MedianTrialObs(ps.G, nil, trials, 11, fracs, &fm))
+	tr := mustTrial(MedianTrial(ps.G, nil, trials, 11, fracs, &fm))
 	if fm.IntactDiameter != 3 {
 		t.Errorf("intact diameter %d, want 3 (PolarStar)", fm.IntactDiameter)
 	}
@@ -86,11 +86,11 @@ func TestTrafficSweepValidation(t *testing.T) {
 	p := sim.DefaultParams(3)
 	p.Warmup, p.Measure, p.Drain = 50, 100, 150
 	for _, load := range []float64{0, -0.2, 1.5} {
-		if _, err := TrafficSweep(spec, sim.MIN, "uniform", load, []float64{0}, p, 5); err == nil {
+		if _, err := TrafficSweep(spec, sim.MIN, "uniform", load, []float64{0}, p, 5, nil); err == nil {
 			t.Errorf("offered load %g accepted", load)
 		}
 	}
-	if _, err := TrafficSweep(spec, sim.MIN, "uniform", 0.2, []float64{0.4, 0.2}, p, 5); err == nil {
+	if _, err := TrafficSweep(spec, sim.MIN, "uniform", 0.2, []float64{0.4, 0.2}, p, 5, nil); err == nil {
 		t.Error("descending failure fractions accepted")
 	}
 }
@@ -103,12 +103,12 @@ func TestTrafficSweepObs(t *testing.T) {
 	p.Warmup, p.Measure, p.Drain = 100, 200, 300
 	p.Workers = 2
 	fracs := []float64{0, 0.15}
-	plain, err := TrafficSweep(spec, sim.MIN, "uniform", 0.2, fracs, p, 5)
+	plain, err := TrafficSweep(spec, sim.MIN, "uniform", 0.2, fracs, p, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ft obs.FaultTraffic
-	observed, err := TrafficSweepObs(spec, sim.MIN, "uniform", 0.2, fracs, p, 5, &ft)
+	observed, err := TrafficSweep(spec, sim.MIN, "uniform", 0.2, fracs, p, 5, &ft)
 	if err != nil {
 		t.Fatal(err)
 	}

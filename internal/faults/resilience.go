@@ -76,16 +76,10 @@ type ResilienceCurve struct {
 // and repaired after Repair when set — and simulates the same offered
 // load. All curves share plans, pattern, seed and load, so the only
 // variable is the routing mode; every Result is bit-identical at any
-// worker count.
-func ResilienceSweep(spec *sim.Spec, cfg ResilienceConfig, params sim.Params) ([]ResilienceCurve, error) {
-	return ResilienceSweepObs(spec, cfg, params, nil)
-}
-
-// ResilienceSweepObs is ResilienceSweep with telemetry: when fr is
-// non-nil every point's engine fills a fresh SimRun (with the per-lane
-// spray/failover section on multipath modes). Results are identical
-// with fr on or off.
-func ResilienceSweepObs(spec *sim.Spec, cfg ResilienceConfig, params sim.Params, fr *obs.FaultResilience) ([]ResilienceCurve, error) {
+// worker count. fr may be nil (unobserved); otherwise every point's
+// engine fills a fresh SimRun (with the per-lane spray/failover section
+// on multipath modes). Results are identical either way.
+func ResilienceSweep(spec *sim.Spec, cfg ResilienceConfig, params sim.Params, fr *obs.FaultResilience) ([]ResilienceCurve, error) {
 	if cfg.Load <= 0 || cfg.Load > 1 {
 		return nil, fmt.Errorf("faults: offered load %g outside (0, 1]", cfg.Load)
 	}

@@ -39,7 +39,7 @@ func TestResilienceAcceptanceMultipathBeatsMinRepair(t *testing.T) {
 		TargetLanes: 2,
 		Seed:        1,
 	}
-	curves, err := ResilienceSweep(spec, cfg, resilienceParams(4))
+	curves, err := ResilienceSweep(spec, cfg, resilienceParams(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestResilienceSweepDeterministicAcrossWorkers(t *testing.T) {
 		p := sim.DefaultParams(3)
 		p.Warmup, p.Measure, p.Drain = 200, 400, 1200
 		p.Workers = workers
-		curves, err := ResilienceSweep(spec, cfg, p)
+		curves, err := ResilienceSweep(spec, cfg, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,12 +112,12 @@ func TestResilienceSweepObsSections(t *testing.T) {
 	}
 	p := sim.DefaultParams(3)
 	p.Warmup, p.Measure, p.Drain = 200, 400, 1200
-	bare, err := ResilienceSweep(spec, cfg, p)
+	bare, err := ResilienceSweep(spec, cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var fr obs.FaultResilience
-	obsCurves, err := ResilienceSweepObs(spec, cfg, p, &fr)
+	obsCurves, err := ResilienceSweep(spec, cfg, p, &fr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestResilienceSweepValidation(t *testing.T) {
 		{"too many target lanes", ResilienceConfig{Load: 0.2, Counts: []int{0}, TargetLanes: 64}},
 	}
 	for _, tc := range cases {
-		if _, err := ResilienceSweep(spec, tc.cfg, p); err == nil {
+		if _, err := ResilienceSweep(spec, tc.cfg, p, nil); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
 	}

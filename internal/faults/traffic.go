@@ -27,16 +27,11 @@ type TrafficPoint struct {
 // pairs keep injecting; their packets are lost, so DeliveredFrac < 1 and
 // rising latency are the observable damage. fracs must be ascending.
 // The routing mode is MIN or UGAL over the degraded all-pairs table.
-func TrafficSweep(spec *sim.Spec, mode sim.RoutingMode, patternName string, load float64, fracs []float64, params sim.Params, seed int64) ([]TrafficPoint, error) {
-	return TrafficSweepObs(spec, mode, patternName, load, fracs, params, seed, nil)
-}
-
-// TrafficSweepObs is TrafficSweep with telemetry: when ft is non-nil,
-// each failure fraction's engine fills a fresh SimRun attached to the
-// corresponding FaultTrafficPoint, so the artifact carries the full
-// latency/stall/loss breakdown of every degraded topology. Results are
-// identical with ft on or off.
-func TrafficSweepObs(spec *sim.Spec, mode sim.RoutingMode, patternName string, load float64, fracs []float64, params sim.Params, seed int64, ft *obs.FaultTraffic) ([]TrafficPoint, error) {
+// ft may be nil (unobserved); otherwise each failure fraction's engine
+// fills a fresh SimRun attached to the corresponding FaultTrafficPoint,
+// so the artifact carries the full latency/stall/loss breakdown of every
+// degraded topology. Results are identical either way.
+func TrafficSweep(spec *sim.Spec, mode sim.RoutingMode, patternName string, load float64, fracs []float64, params sim.Params, seed int64, ft *obs.FaultTraffic) ([]TrafficPoint, error) {
 	if load <= 0 || load > 1 {
 		return nil, fmt.Errorf("faults: offered load %g outside (0, 1]", load)
 	}

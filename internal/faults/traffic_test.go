@@ -15,7 +15,7 @@ func trafficParams() sim.Params {
 func TestTrafficSweepDegrades(t *testing.T) {
 	spec := sim.MustNewSpec("ps-iq-small")
 	fracs := []float64{0, 0.05, 0.1}
-	pts, err := TrafficSweep(spec, sim.MIN, "uniform", 0.2, fracs, trafficParams(), 11)
+	pts, err := TrafficSweep(spec, sim.MIN, "uniform", 0.2, fracs, trafficParams(), 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestTrafficSweepDeterministic(t *testing.T) {
 		spec := sim.MustNewSpec("ps-iq-small")
 		p := trafficParams()
 		p.Workers = workers
-		pts, err := TrafficSweep(spec, sim.UGALMode, "uniform", 0.2, []float64{0, 0.05}, p, 11)
+		pts, err := TrafficSweep(spec, sim.UGALMode, "uniform", 0.2, []float64{0, 0.05}, p, 11, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -220,6 +222,52 @@ func TestReadEdgeListErrors(t *testing.T) {
 	if _, err := ReadEdgeList(bytes.NewBufferString("0 1\n")); err == nil {
 		t.Error("edge before header should error")
 	}
+	for _, in := range []string{
+		"# n 3\n0 5\n",
+		"# n 3\n-1 2\n",
+		"# n 3\n3 loop\n",
+		"# n 3\n0 1\n# n 100\n0 50\n",
+		"# n -4\n",
+		"# n 99999999999\n0 1\n",
+	} {
+		if _, err := ReadEdgeList(bytes.NewBufferString(in)); err == nil {
+			t.Errorf("%q: accepted", in)
+		}
+	}
+}
+
+// FuzzReadEdgeList feeds arbitrary text to the edge-list parser (the
+// pssearch -start file: input): no input may panic, and every accepted
+// graph must round-trip through WriteEdgeList unchanged.
+func FuzzReadEdgeList(f *testing.F) {
+	f.Add("# name demo\n# n 5 m 2 loops 1\n0 1\n1 4\n2 loop\n")
+	f.Add("# n 3\n0 5\n")
+	f.Add("# n 3\n-1 2\n")
+	f.Add("# n 0\n")
+	f.Add("# n 4194305\n")
+	f.Add("# n 2\n0 1\n# n 9\n1 8\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		g, err := ReadEdgeList(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := g.WriteEdgeList(&buf); err != nil {
+			t.Fatal(err)
+		}
+		h, err := ReadEdgeList(&buf)
+		if err != nil {
+			t.Fatalf("re-reading written graph: %v", err)
+		}
+		if h.N() != g.N() || h.M() != g.M() || h.NumLoops() != g.NumLoops() {
+			t.Fatalf("round trip changed the graph: %v -> %v", g, h)
+		}
+		for u := 0; u < g.N(); u++ {
+			if !slices.Equal(g.Neighbors(u), h.Neighbors(u)) || g.HasLoop(u) != h.HasLoop(u) {
+				t.Fatalf("round trip changed vertex %d", u)
+			}
+		}
+	})
 }
 
 // TestBFSPropertyTriangleInequality: for random graphs, d(s,v) <= d(s,u)+1

@@ -40,7 +40,17 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses the format produced by WriteEdgeList.
+// MaxEdgeListVertices caps the '# n' header ReadEdgeList accepts. The
+// builder allocates per-vertex storage before any edge is read, so an
+// unchecked header would let a few bytes of input demand gigabytes. The
+// cap is far above every generated topology (the largest Table-3
+// network has 13,272 routers).
+const MaxEdgeListVertices = 1 << 22
+
+// ReadEdgeList parses the format produced by WriteEdgeList. Malformed
+// input — a vertex count outside [0, MaxEdgeListVertices], an edge
+// before the header or naming a vertex outside [0, n) — returns an
+// error; no input panics.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
@@ -62,6 +72,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 					if _, err := fmt.Sscanf(fields[i+1], "%d", &n); err != nil {
 						return nil, fmt.Errorf("graph: bad header %q: %v", line, err)
 					}
+					if n < 0 || n > MaxEdgeListVertices {
+						return nil, fmt.Errorf("graph: vertex count %d outside [0, %d]", n, MaxEdgeListVertices)
+					}
 				}
 			}
 			continue
@@ -77,11 +90,13 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			if _, err := fmt.Sscanf(line, "%d loop", &u); err != nil {
 				return nil, fmt.Errorf("graph: bad loop line %q: %v", line, err)
 			}
-			b.AddEdge(u, u)
-			continue
-		}
-		if _, err := fmt.Sscanf(line, "%d %d", &u, &v); err != nil {
+			v = u
+		} else if _, err := fmt.Sscanf(line, "%d %d", &u, &v); err != nil {
 			return nil, fmt.Errorf("graph: bad edge line %q: %v", line, err)
+		}
+		// A later header may change n; the builder's count is the bound.
+		if u < 0 || u >= b.n || v < 0 || v >= b.n {
+			return nil, fmt.Errorf("graph: edge line %q names a vertex outside [0, %d)", line, b.n)
 		}
 		b.AddEdge(u, v)
 	}

@@ -106,7 +106,7 @@ type SimSweep struct {
 }
 
 // NewSimSweep returns a sweep with one zero SimRun per load point, ready
-// to hand to sim.SweepObs.
+// to hand to sim.Sweep.
 func NewSimSweep(spec, routing, pattern string, loads int) *SimSweep {
 	s := &SimSweep{Spec: spec, Routing: routing, Pattern: pattern, Points: make([]*SimRun, loads)}
 	for i := range s.Points {

@@ -156,7 +156,7 @@ func TestFaultRepairRecovers(t *testing.T) {
 }
 
 // TestFaultNilAndEmptyPlanIdentical pins the gating contract: a non-nil
-// but empty plan takes the healthy fast path and is bit-identical to no
+// but empty plan builds no fault state and is bit-identical to no
 // plan at all.
 func TestFaultNilAndEmptyPlanIdentical(t *testing.T) {
 	ref := detRun(t, "ps-iq-small", UGALMode, numShards)

@@ -231,8 +231,11 @@ func (e *Engine) applyFaults(t int64) {
 			fs.applyRouterUp(ev.U)
 		}
 	}
-	if fs.next > first && e.p.RepairDelay > 0 {
-		fs.repairReadyAt = t + e.p.RepairDelay
+	if fs.next > first {
+		e.unparkAll()
+		if e.p.RepairDelay > 0 {
+			fs.repairReadyAt = t + e.p.RepairDelay
+		}
 	}
 	if fs.health != nil {
 		if fs.next > first {

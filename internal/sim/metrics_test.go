@@ -142,7 +142,7 @@ func TestSweepObs(t *testing.T) {
 	p.Warmup, p.Measure, p.Drain = 200, 400, 600
 	loads := []float64{0.1, 0.3}
 	sm := obs.NewSimSweep(spec.Name, MIN.String(), "uniform", len(loads))
-	res, err := SweepObs(spec, MIN, "uniform", loads, p, sm)
+	res, err := Sweep(spec, MIN, "uniform", loads, p, sm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ type FaultEvent struct {
 // Plan is a deterministic schedule of fault events, sorted by cycle. The
 // engine applies every event whose cycle has been reached at the start of
 // the cycle, before generation and routing. An empty plan is equivalent
-// to no plan at all: the engine takes the healthy fast path and results
+// to no plan at all: the engine builds no fault state and results
 // are bit-identical to a plan-less run.
 type Plan struct {
 	Events []FaultEvent

@@ -72,16 +72,14 @@ func (s SweepResult) SaturationLoad() float64 {
 // the peak injection bandwidth (flits/endpoint/cycle). The first
 // failure cancels the remaining load points and is returned once every
 // in-flight run has stopped.
-func Sweep(spec *Spec, mode RoutingMode, patternName string, loads []float64, params Params) (SweepResult, error) {
-	return SweepObs(spec, mode, patternName, loads, params, nil)
-}
-
-// SweepObs is Sweep with telemetry: when sm is non-nil, each load point's
-// engine fills sm.Points[i] (sm must come from obs.NewSimSweep with one
-// point per load). Points are written by the worker that owns the load
-// index, so collection adds no synchronization; the resulting artifact is
-// identical for any worker split.
-func SweepObs(spec *Spec, mode RoutingMode, patternName string, loads []float64, params Params, sm *obs.SimSweep) (SweepResult, error) {
+//
+// sm may be nil (unobserved); otherwise each load point's engine fills
+// sm.Points[i] (sm must come from obs.NewSimSweep with one point per
+// load). Points are written by the worker that owns the load index, so
+// collection adds no synchronization; the resulting artifact is
+// identical for any worker split, and the Results are identical to an
+// unobserved sweep.
+func Sweep(spec *Spec, mode RoutingMode, patternName string, loads []float64, params Params, sm *obs.SimSweep) (SweepResult, error) {
 	res := SweepResult{Spec: spec.Name, Routing: mode, Pattern: patternName, Points: make([]Result, len(loads))}
 	outer := runtime.GOMAXPROCS(0)
 	if outer > len(loads) {

@@ -16,7 +16,7 @@ func TestSweepErrorCancels(t *testing.T) {
 	p.Warmup, p.Measure, p.Drain = 100, 100, 100
 	before := runtime.NumGoroutine()
 	// An unknown pattern fails inside every worker, on every load point.
-	res, err := Sweep(spec, MIN, "no-such-pattern", DefaultLoads, p)
+	res, err := Sweep(spec, MIN, "no-such-pattern", DefaultLoads, p, nil)
 	if err == nil {
 		t.Fatal("Sweep with an unknown pattern returned no error")
 	}
@@ -43,12 +43,12 @@ func TestSweepWorkerBudget(t *testing.T) {
 	p := DefaultParams(1)
 	p.Warmup, p.Measure, p.Drain = 100, 200, 300
 	loads := []float64{0.1, 0.3}
-	auto, err := Sweep(spec, MIN, "uniform", loads, p)
+	auto, err := Sweep(spec, MIN, "uniform", loads, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Workers = numShards
-	pinned, err := Sweep(spec, MIN, "uniform", loads, p)
+	pinned, err := Sweep(spec, MIN, "uniform", loads, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func TestRunPointMatchesSweep(t *testing.T) {
 	p.Warmup, p.Measure, p.Drain = 100, 200, 300
 	p.Workers = 2
 	loads := []float64{0.1, 0.3}
-	sweep, err := Sweep(spec, MIN, "uniform", loads, p)
+	sweep, err := Sweep(spec, MIN, "uniform", loads, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,10 +77,12 @@ type Params struct {
 	// and stall counters, the measured-latency histogram and per-channel
 	// occupancy high-water marks. The engine sizes its slices in
 	// NewEngine and merges per-shard accumulators in fixed shard order at
-	// the end of Run. Collection never touches the RNG streams or any
-	// simulation state, so Results are bit-identical with metrics on or
-	// off, and the steady-state cycle stays allocation-free (both pinned
-	// by tests).
+	// the end of Run. Observed runs take the same wake-scheduled
+	// arbitration loop as unobserved ones; the stalls of parked units are
+	// charged lazily (DESIGN.md §10). Collection never touches the RNG
+	// streams or any simulation state, so Results are bit-identical with
+	// metrics on or off, and the steady-state cycle stays allocation-free
+	// (both pinned by tests).
 	Metrics *obs.SimRun
 	// MetricsInterval, when positive, additionally records cumulative
 	// counters into Metrics.Series every MetricsInterval cycles (sampled
@@ -90,8 +92,10 @@ type Params struct {
 	// Plan, when non-nil and non-empty, injects live faults during the
 	// run: scripted link/router failures (and repairs) applied at their
 	// cycles, with fault-aware re-routing, source retries under Retry,
-	// and a no-progress watchdog (see faultstate.go). A nil or empty plan
-	// leaves the healthy fast path untouched — results are bit-identical
+	// and a no-progress watchdog (see faultstate.go). Every applied event
+	// re-arms all parked queues, so faulted runs use the same
+	// wake-scheduled arbitration loop as healthy ones. A nil or empty
+	// plan leaves the healthy path untouched — results are bit-identical
 	// to an engine built without the field.
 	Plan *Plan
 	// Retry bounds the source-retry behavior under Plan; the zero value
@@ -233,17 +237,16 @@ type Engine struct {
 	routerShard []int8 // router -> owning shard (contiguous blocks)
 	inWorklist  []bool // router -> whether listed in its shard's worklist
 
-	// Wake-up scheduling (fastArb): a stalled forward attempt has no side
-	// effect beyond its stall counter, so with telemetry off (and no
-	// fault plan — both make stalls observable) the arbitration loop may
-	// skip a unit until the cycle its blocker can actually clear: the
-	// busy-until timestamp it stalled on, or — for credit stalls — the
-	// first commit that releases credit on its head packet's channel
-	// (tracked by an intrusive per-channel waiter list). Wakes are
-	// conservative, so grants happen at exactly the cycles they always
-	// did; results are bit-identical, but saturated sweeps stop paying
-	// for millions of predestined-to-fail attempts.
-	fastArb    bool
+	// Wake-up scheduling: a stalled forward attempt has no side effect
+	// beyond its stall count, so the arbitration loop skips a unit until
+	// the cycle its blocker can actually clear: the busy-until timestamp
+	// it stalled on, or — for credit stalls — the first commit release or
+	// grant on its head packet's channel (tracked by an intrusive
+	// per-channel waiter list). A fault event re-arms every unit. Wakes
+	// are conservative, so grants happen at exactly the cycles an
+	// attempt-every-cycle loop would make them; saturated runs skip
+	// millions of predestined-to-fail attempts. DESIGN.md §10 has the
+	// argument.
 	wake       []int64 // unit -> earliest cycle an attempt can succeed
 	routerWake []int64 // router -> min wake over its active units
 	waiterHead []int32 // channel -> first credit-waiting unit (-1: none)
@@ -289,6 +292,11 @@ type Engine struct {
 	met         *obs.SimRun
 	metInterval int64
 	occHWM      obs.ChannelHWM
+	// parked is the stall a unit is parked on (observed runs only): the
+	// cycles it skips until its next attempt are charged to that cause
+	// lazily, so the stall counts equal one attempt per queued unit per
+	// cycle. Written only by the unit's shard during arbitration.
+	parked []parkedStall
 
 	// fs is the live fault-injection state, non-nil only when Params.Plan
 	// carries events. Every fault hook on the hot path is gated on it, so
@@ -354,14 +362,16 @@ type shardState struct {
 // the run's obs.SimRun in fixed shard order at the end. All storage is
 // sized at engine construction, so recording allocates nothing.
 type shardMetrics struct {
-	injected    int64 // packets routed and enqueued at their source
-	lost        int64 // unroutable or over-budget paths
-	stallInj    int64
-	stallEject  int64
-	stallBusy   int64
-	stallCredit int64
-	creditVC    []int64 // credit stalls keyed by the packet's lowest eligible VC
-	lat         obs.Histogram
+	injected int64 // packets routed and enqueued at their source
+	lost     int64 // unroutable or over-budget paths
+	stall    [numStallCauses]int64
+	creditVC []int64 // credit stalls keyed by the packet's lowest eligible VC
+	lat      obs.Histogram
+
+	// parkedN units of this shard are parked; parkedAt sums their park
+	// cycles. Together they give the not-yet-charged stalls at any cycle.
+	parkedN  int64
+	parkedAt int64
 
 	// Per-lane counters, sized laneCount (nil on single-lane engines):
 	// index 0 is the minimal band, 1.. the tree lanes.
@@ -371,7 +381,61 @@ type shardMetrics struct {
 }
 
 func (m *shardMetrics) stalls() int64 {
-	return m.stallInj + m.stallEject + m.stallBusy + m.stallCredit
+	return m.stall[stallInject] + m.stall[stallEject] + m.stall[stallChannel] + m.stall[stallCredit]
+}
+
+// add charges n stalls of cause (credit stalls also to their VC).
+func (m *shardMetrics) add(cause stallCause, vc int8, n int64) {
+	m.stall[cause] += n
+	if cause == stallCredit {
+		m.creditVC[vc] += n
+	}
+}
+
+// stallCause is why a forward attempt failed; notParked marks a unit
+// with no pending stall.
+type stallCause int8
+
+const (
+	notParked stallCause = iota
+	stallInject
+	stallEject
+	stallChannel
+	stallCredit
+	numStallCauses
+)
+
+// parkedStall is the failed attempt a unit is parked on.
+type parkedStall struct {
+	at    int64 // cycle of the failed attempt
+	cause stallCause
+	vc    int8 // lowest eligible VC (credit stalls)
+}
+
+// never is the wake of a unit no timestamp can re-arm: a credit waiter.
+const never = int64(1) << 62
+
+// stall records a failed attempt of unit in the current cycle and parks
+// the unit on it. Every failed attempt also sets the unit's wake, and
+// until then each skipped cycle would have failed for the same reason.
+func (e *Engine) stall(m *shardMetrics, unit int32, cause stallCause, vc int) {
+	m.add(cause, int8(vc), 1)
+	e.parked[unit] = parkedStall{at: e.now, cause: cause, vc: int8(vc)}
+	m.parkedN++
+	m.parkedAt += e.now
+}
+
+// chargeParked charges the cycles a parked unit skipped between its
+// last failed attempt and the current one.
+func (e *Engine) chargeParked(m *shardMetrics, unit int32) {
+	p := &e.parked[unit]
+	if p.cause == notParked {
+		return
+	}
+	m.add(p.cause, p.vc, e.now-p.at-1)
+	m.parkedN--
+	m.parkedAt -= p.at
+	p.cause = notParked
 }
 
 // NewEngine builds a simulator for graph g with the endpoint arrangement
@@ -470,7 +534,6 @@ func NewEngine(params Params, g *graph.Graph, cfg traffic.Config, routing Routin
 	e.active = make([][]int32, n)
 	e.inActive = newBitset(len(e.queues))
 	e.inWorklist = make([]bool, n)
-	e.fastArb = params.Metrics == nil && !planActive
 	e.wake = make([]int64, len(e.queues))
 	e.routerWake = make([]int64, n)
 	e.waiterHead = make([]int32, nChans)
@@ -601,6 +664,7 @@ func (e *Engine) initMetrics(params Params) {
 	m.CreditStallVC = make([]int64, e.vcs)
 	m.OccHWM = make(obs.ChannelHWM, e.g.NumChannels())
 	e.occHWM = m.OccHWM
+	e.parked = make([]parkedStall, len(e.queues))
 	for _, sh := range e.shards {
 		sh.met = &shardMetrics{creditVC: make([]int64, e.vcs)}
 		if e.laneCount > 1 {
@@ -778,20 +842,13 @@ func (e *Engine) commit(t int64) {
 	vcs := int32(e.vcs)
 	for _, sh := range e.shards {
 		for _, credit := range sh.releases {
+			c := credit / vcs
 			e.occ[credit] -= S
-			e.occSum[credit/vcs] -= S
-			if e.fastArb {
-				// Unpark every unit waiting on this channel's credits:
-				// they must re-attempt next cycle, exactly as the
-				// attempt-every-cycle engine would have.
-				for u := e.waiterHead[credit/vcs]; u >= 0; {
-					nxt := e.waiterNext[u]
-					e.waiterNext[u] = -1
-					e.wake[u] = t + 1
-					e.routerWake[e.unitHome[u]] = 0
-					u = nxt
-				}
-				e.waiterHead[credit/vcs] = -1
+			e.occSum[c] -= S
+			if e.waiterHead[c] >= 0 {
+				// The units waiting on this channel's credits may
+				// succeed next cycle.
+				e.unparkWaiters(c, t+1)
 			}
 		}
 		sh.releases = sh.releases[:0]
@@ -812,17 +869,49 @@ func (e *Engine) commit(t int64) {
 	}
 }
 
+// unparkWaiters re-arms every unit parked on channel c's credits for an
+// attempt at cycle at. Releases on c (commit, at = t+1) may give them
+// credits; a grant on c (arbitration, at = now) makes them stall on the
+// busy channel instead, so they must re-attempt to re-park on that.
+func (e *Engine) unparkWaiters(c int32, at int64) {
+	for u := e.waiterHead[c]; u >= 0; {
+		nxt := e.waiterNext[u]
+		e.waiterNext[u] = -1
+		e.wake[u] = at
+		if r := e.unitHome[u]; e.routerWake[r] > at {
+			e.routerWake[r] = at
+		}
+		u = nxt
+	}
+	e.waiterHead[c] = -1
+}
+
+// unparkAll re-arms every unit for an attempt this cycle. A fault event
+// can turn any parked blocker into a drop, a retry or a lane failover.
+func (e *Engine) unparkAll() {
+	clear(e.wake)
+	clear(e.routerWake)
+	for i := range e.waiterHead {
+		e.waiterHead[i] = -1
+	}
+	for i := range e.waiterNext {
+		e.waiterNext[i] = -1
+	}
+}
+
 // sampleInterval appends one cumulative-counter row to the interval
 // series. It runs in the serial commit phase — after every shard's
 // arbitration — so the sums it reads are the committed end-of-cycle state
-// and identical for any worker count. The series slice was presized in
-// initMetrics; the append never reallocates.
+// and identical for any worker count. Parked units have failed in every
+// cycle since their park, up to and including cycle-1. The series slice
+// was presized in initMetrics; the append never reallocates.
 func (e *Engine) sampleInterval(cycle int64) {
 	row := obs.IntervalRow{Cycle: cycle, Generated: e.pktCtr}
 	for _, sh := range e.shards {
+		m := sh.met
 		row.Delivered += sh.deliveredAll
-		row.Injected += sh.met.injected
-		row.Stalled += sh.met.stalls()
+		row.Injected += m.injected
+		row.Stalled += m.stalls() + m.parkedN*(cycle-1) - m.parkedAt
 	}
 	e.met.Series = append(e.met.Series, row)
 }
@@ -1018,10 +1107,9 @@ func (e *Engine) arbitrateShard(sh *shardState, sid int) {
 	}
 
 	S := int64(e.p.PacketFlits)
-	fast := e.fastArb
 	kept := sh.routers[:0]
 	for _, r := range sh.routers {
-		if fast && e.routerWake[r] > t {
+		if e.routerWake[r] > t {
 			// Every unit of this router is waiting on a known future
 			// cycle; nothing here could have granted. Its active list is
 			// untouched (pops only happen through attempts), so skipping
@@ -1030,8 +1118,11 @@ func (e *Engine) arbitrateShard(sh *shardState, sid int) {
 			kept = append(kept, r)
 			continue
 		}
+		// Recomputed from the units below; a grant that unparks credit
+		// waiters lowers it meanwhile.
+		e.routerWake[r] = never
 		units := e.active[r]
-		minWake := int64(1) << 62
+		minWake := never
 		removed := false
 		// Round-robin: rotate by cycle to avoid static priority. The
 		// rotation is computed in int64 so 32-bit ints cannot truncate
@@ -1042,13 +1133,11 @@ func (e *Engine) arbitrateShard(sh *shardState, sid int) {
 			if j++; j == len(units) {
 				j = 0
 			}
-			if fast {
-				if w := e.wake[unit]; w > t {
-					if w < minWake {
-						minWake = w
-					}
-					continue
+			if w := e.wake[unit]; w > t {
+				if w < minWake {
+					minWake = w
 				}
+				continue
 			}
 			q := &e.queues[unit]
 			if q.empty() {
@@ -1060,10 +1149,8 @@ func (e *Engine) arbitrateShard(sh *shardState, sid int) {
 			if q.empty() {
 				e.inActive.clear(unit)
 				removed = true
-			} else if fast {
-				if w := e.wake[unit]; w < minWake {
-					minWake = w
-				}
+			} else if w := e.wake[unit]; w < minWake {
+				minWake = w
 			}
 		}
 		if removed {
@@ -1083,7 +1170,9 @@ func (e *Engine) arbitrateShard(sh *shardState, sid int) {
 			e.inWorklist[r] = false
 		} else {
 			kept = append(kept, r)
-			e.routerWake[r] = minWake
+			if minWake < e.routerWake[r] {
+				e.routerWake[r] = minWake
+			}
 		}
 	}
 	sh.routers = kept
@@ -1100,13 +1189,16 @@ func (e *Engine) arbitrateShard(sh *shardState, sid int) {
 func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S int64) {
 	id := q.front()
 	st := &e.pkts
+	if sh.met != nil {
+		e.chargeParked(sh.met, unit)
+	}
 	// Injection serialization: a packet leaves its endpoint at most
 	// every S cycles.
 	if ep := e.unitEP[unit]; ep >= 0 {
 		if e.injBusy[ep] > e.now {
 			e.wake[unit] = e.injBusy[ep]
 			if sh.met != nil {
-				sh.met.stallInj++
+				e.stall(sh.met, unit, stallInject, 0)
 			}
 			return
 		}
@@ -1127,7 +1219,7 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S 
 		if e.ejBusy[ep] > e.now {
 			e.wake[unit] = e.ejBusy[ep]
 			if sh.met != nil {
-				sh.met.stallEject++
+				e.stall(sh.met, unit, stallEject, 0)
 			}
 			return
 		}
@@ -1165,7 +1257,7 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S 
 	if e.busy[c] > e.now {
 		e.wake[unit] = e.busy[c]
 		if sh.met != nil {
-			sh.met.stallBusy++
+			e.stall(sh.met, unit, stallChannel, 0)
 		}
 		return
 	}
@@ -1201,16 +1293,14 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S 
 		// No credits downstream on any eligible VC. Credits only come
 		// back through a commit-applied release on channel c, so park
 		// the unit on c's waiter list; commit re-arms it (wake = t+1)
-		// when any release for c lands. Waking on any VC of c is
+		// when any release for c lands, and a grant on c re-arms it to
+		// re-park on the busy channel. Waking on any VC of c is
 		// conservative — the unit may stall again — but never late.
-		if e.fastArb {
-			e.wake[unit] = int64(1) << 62
-			e.waiterNext[unit] = e.waiterHead[c]
-			e.waiterHead[c] = unit
-		}
+		e.wake[unit] = never
+		e.waiterNext[unit] = e.waiterHead[c]
+		e.waiterHead[c] = unit
 		if sh.met != nil {
-			sh.met.stallCredit++
-			sh.met.creditVC[minVC]++
+			e.stall(sh.met, unit, stallCredit, minVC)
 		}
 		return
 	}
@@ -1221,6 +1311,12 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S 
 		e.occHWM.Observe(int(c), e.occSum[c])
 	}
 	e.busy[c] = e.now + S
+	if e.waiterHead[c] >= 0 {
+		// c's credit waiters now stall on the busy channel instead: the
+		// ones this router has yet to visit re-attempt this cycle, the
+		// others next cycle, and all re-park on busy[c].
+		e.unparkWaiters(c, e.now)
+	}
 	if ep := e.unitEP[unit]; ep >= 0 {
 		e.injBusy[ep] = e.now + S
 	}
@@ -1330,6 +1426,14 @@ func (e *Engine) result(load float64) Result {
 // every other aggregation in this package) and echoes the Result fields
 // so the artifact stands alone.
 func (e *Engine) finishMetrics(res Result) {
+	// Units still parked failed in every cycle up to the last one run.
+	last := e.now - 1
+	for u, p := range e.parked {
+		if p.cause != notParked {
+			sm := e.shards[e.routerShard[e.unitHome[u]]].met
+			sm.add(p.cause, p.vc, last-p.at)
+		}
+	}
 	m := e.met
 	m.Load = res.Load
 	m.Generated.Add(e.pktCtr)
@@ -1338,10 +1442,10 @@ func (e *Engine) finishMetrics(res Result) {
 		m.Injected.Add(sm.injected)
 		m.Lost.Add(sm.lost)
 		m.Delivered.Add(sh.deliveredAll)
-		m.StallInject.Add(sm.stallInj)
-		m.StallEject.Add(sm.stallEject)
-		m.StallChannel.Add(sm.stallBusy)
-		m.StallCredit.Add(sm.stallCredit)
+		m.StallInject.Add(sm.stall[stallInject])
+		m.StallEject.Add(sm.stall[stallEject])
+		m.StallChannel.Add(sm.stall[stallChannel])
+		m.StallCredit.Add(sm.stall[stallCredit])
 		for vc, n := range sm.creditVC {
 			m.CreditStallVC[vc] += n
 		}

@@ -25,7 +25,7 @@ func BenchmarkSweep(b *testing.B) {
 	loads := []float64{0.1, 0.3, 0.5}
 	for i := 0; i < b.N; i++ {
 		p.Seed = int64(i)
-		if _, err := Sweep(spec, UGALMode, "uniform", loads, p); err != nil {
+		if _, err := Sweep(spec, UGALMode, "uniform", loads, p, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -40,7 +40,7 @@ func TestZeroLoadLatency(t *testing.T) {
 
 func TestLatencyMonotoneInLoad(t *testing.T) {
 	spec := MustNewSpec("ps-iq-small")
-	sweep, err := Sweep(spec, MIN, "uniform", []float64{0.1, 0.4, 0.7}, testParams(2))
+	sweep, err := Sweep(spec, MIN, "uniform", []float64{0.1, 0.4, 0.7}, testParams(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestLatencyMonotoneInLoad(t *testing.T) {
 
 func TestThroughputTracksOfferedLoadBelowSaturation(t *testing.T) {
 	spec := MustNewSpec("ps-iq-small")
-	res, err := Sweep(spec, MIN, "uniform", []float64{0.2}, testParams(3))
+	res, err := Sweep(spec, MIN, "uniform", []float64{0.2}, testParams(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestUGALBeatsMINOnAdversarial(t *testing.T) {
 	// group pair collapses under MIN).
 	spec := MustNewSpec("df-small")
 	loads := []float64{0.05, 0.1, 0.2, 0.3}
-	minRes, err := Sweep(spec, MIN, "adversarial", loads, testParams(5))
+	minRes, err := Sweep(spec, MIN, "adversarial", loads, testParams(5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ugalRes, err := Sweep(spec, UGALMode, "adversarial", loads, testParams(5))
+	ugalRes, err := Sweep(spec, UGALMode, "adversarial", loads, testParams(5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

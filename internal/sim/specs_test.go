@@ -166,7 +166,7 @@ func TestBundleflySingleVsMultiMinpath(t *testing.T) {
 	p := DefaultParams(1)
 	p.Warmup, p.Measure, p.Drain = 1500, 3000, 5000
 	lat := func(s *Spec) float64 {
-		res, err := Sweep(s, MIN, "permutation", []float64{0.5}, p)
+		res, err := Sweep(s, MIN, "permutation", []float64{0.5}, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

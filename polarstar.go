@@ -291,7 +291,8 @@ var (
 	RunSimPoint = sim.RunPoint
 	// DefaultSimParams mirrors the §9.4 configuration.
 	DefaultSimParams = sim.DefaultParams
-	// Sweep runs a latency-load experiment.
+	// Sweep runs a latency-load experiment. Its trailing telemetry sink
+	// may be nil, which leaves the sweep unobserved.
 	Sweep = sim.Sweep
 	// DefaultLoads is the standard offered-load ladder.
 	DefaultLoads = sim.DefaultLoads
@@ -359,6 +360,8 @@ var (
 	// FaultTrial runs one random link-failure scenario.
 	FaultTrial = faults.RunTrial
 	// FaultMedianTrial reproduces the §11.2 100-trial median protocol.
+	// Its trailing telemetry sink may be nil, which leaves the trials
+	// unobserved.
 	FaultMedianTrial = faults.MedianTrial
 )
 
@@ -378,7 +381,8 @@ var RunFaultBands = faults.RunBands
 type FaultTrafficPoint = faults.TrafficPoint
 
 // FaultTrafficSweep simulates traffic on progressively degraded
-// topologies (the dynamic complement of the structural §11.2 sweep).
+// topologies (the dynamic complement of the structural §11.2 sweep). Its
+// trailing telemetry sink may be nil, which leaves the sweep unobserved.
 var FaultTrafficSweep = faults.TrafficSweep
 
 // ResilienceConfig parameterizes a live-fault resilience sweep: failure
@@ -396,7 +400,8 @@ type ResiliencePoint = faults.ResiliencePoint
 
 // ResilienceSweep compares routing modes (MultiPath lanes vs MIN vs
 // UGAL) under identical scripted live-fault plans, quantifying how much
-// throughput each sustains as the failure count grows.
+// throughput each sustains as the failure count grows. Its trailing
+// telemetry sink may be nil, which leaves the sweep unobserved.
 var ResilienceSweep = faults.ResilienceSweep
 
 // LiveFaultPlan scripts link/router failures (and repairs) that the
