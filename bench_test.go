@@ -367,16 +367,18 @@ func BenchmarkAblationAnalyticVsTableRouting(b *testing.B) {
 	rng := newRng(1)
 	b.Run("analytic", func(b *testing.B) {
 		eng := spec.MinEngine
+		var buf []int
 		for i := 0; i < b.N; i++ {
 			src, dst := rng.Intn(ps.G.N()), rng.Intn(ps.G.N())
-			_ = eng.Route(src, dst, rng)
+			buf = eng.AppendPath(buf[:0], src, dst, rng)
 		}
 	})
 	b.Run("table", func(b *testing.B) {
 		eng := newTableEngine(ps)
+		var buf []int
 		for i := 0; i < b.N; i++ {
 			src, dst := rng.Intn(ps.G.N()), rng.Intn(ps.G.N())
-			_ = eng.Route(src, dst, rng)
+			buf = eng.AppendPath(buf[:0], src, dst, rng)
 		}
 	})
 }

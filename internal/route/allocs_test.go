@@ -79,3 +79,65 @@ func TestAppendViaZeroAllocs(t *testing.T) {
 		t.Errorf("AppendVia allocates %.1f objects per call, want 0", allocs)
 	}
 }
+
+// TestDistZeroAllocs guards the engines whose Dist measures a path of
+// their own: the path goes into a stack array, never the heap.
+func TestDistZeroAllocs(t *testing.T) {
+	ps := topo.MustNewPolarStar(5, 4, topo.KindIQ)
+	bf := topo.MustNewBundlefly(5, 2)
+	ft := topo.MustNewFatTree(4)
+	engines := []struct {
+		name string
+		e    Engine
+		n    int // routing domain: vertices 0..n-1
+	}{
+		{"polarstar", NewPolarStar(ps), ps.G.N()},
+		{"bundlefly", NewBundlefly(bf), bf.G.N()},
+		{"fattree", NewFatTree(ft), ft.P * ft.P}, // the leaves
+	}
+	for _, tc := range engines {
+		pair := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			src := pair % tc.n
+			dst := (pair*7 + 13) % tc.n
+			pair++
+			if tc.e.Dist(src, dst) < 0 {
+				t.Fatalf("%s: Dist(%d,%d) < 0", tc.name, src, dst)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s Dist allocates %.1f objects per call, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestTreePathZeroAllocs guards the shared up-down tree walker behind
+// TreeEscape.AppendPath and MultiPath.AppendTreePath, liveness filter
+// included.
+func TestTreePathZeroAllocs(t *testing.T) {
+	ps := topo.MustNewPolarStar(4, 3, topo.KindIQ)
+	n := ps.G.N()
+	te, err := NewTreeEscape(ps.G, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp, err := NewMultiPath(ps.G, nil, 3, 11, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func(u, v int) bool { return (u+v)%13 != 0 }
+	buf := make([]int, 0, 2*maxTreeDepth+1)
+	pair := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		src := pair % n
+		dst := (pair*7 + 13) % n
+		pair++
+		buf = te.AppendPath(buf[:0], src, dst, live)
+		for l := 0; l < mp.TreeLanes(); l++ {
+			buf = mp.AppendTreePath(buf[:0], l, src, dst, live)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("tree path queries allocate %.1f objects per call, want 0", allocs)
+	}
+}

@@ -32,15 +32,11 @@ func (r *HyperX) Dist(src, dst int) int {
 	return d
 }
 
-// Route implements Engine, sampling a random dimension correction order.
-func (r *HyperX) Route(src, dst int, rng *rand.Rand) []int {
-	return r.AppendPath(nil, src, dst, rng)
-}
-
-// AppendPath implements Engine. Mismatched dimensions are collected as
-// vertex-id deltas (coordinate difference × dimension stride) in a
-// fixed-size array, shuffled, and applied cumulatively — no coordinate
-// slices, no allocation.
+// AppendPath implements Engine, sampling a random dimension correction
+// order. Mismatched dimensions are collected as vertex-id deltas
+// (coordinate difference × dimension stride) in a fixed-size array,
+// shuffled, and applied cumulatively — no coordinate slices, no
+// allocation.
 func (r *HyperX) AppendPath(buf []int, src, dst int, rng *rand.Rand) []int {
 	if src == dst {
 		return buf
@@ -91,11 +87,6 @@ func NewDragonfly(df *topo.Dragonfly) *Dragonfly {
 // Dist implements Engine.
 func (r *Dragonfly) Dist(src, dst int) int { return r.t.Dist(src, dst) }
 
-// Route implements Engine.
-func (r *Dragonfly) Route(src, dst int, rng *rand.Rand) []int {
-	return r.t.Route(src, dst, rng)
-}
-
 // AppendPath implements Engine.
 func (r *Dragonfly) AppendPath(buf []int, src, dst int, rng *rand.Rand) []int {
 	return r.t.AppendPath(buf, src, dst, rng)
@@ -109,18 +100,17 @@ type FatTree struct{ ft *topo.FatTree }
 // NewFatTree builds the fat-tree up-down router.
 func NewFatTree(ft *topo.FatTree) *FatTree { return &FatTree{ft: ft} }
 
-// Dist implements Engine for leaf-to-leaf and mixed-level pairs.
+// Dist implements Engine for leaf pairs.
 func (r *FatTree) Dist(src, dst int) int {
-	return len(r.Route(src, dst, nil)) - 1
+	if src == dst {
+		return 0
+	}
+	var path [5]int // leaf, level 1, core, level 1, leaf
+	return len(r.AppendPath(path[:0], src, dst, nil)) - 1
 }
 
-// Route implements Engine. Both src and dst are switch ids; for the
+// AppendPath implements Engine. Both src and dst are switch ids; for the
 // simulator they are always level-0 leaves.
-func (r *FatTree) Route(src, dst int, rng *rand.Rand) []int {
-	return r.AppendPath(nil, src, dst, rng)
-}
-
-// AppendPath implements Engine.
 func (r *FatTree) AppendPath(buf []int, src, dst int, rng *rand.Rand) []int {
 	if src == dst {
 		return buf
@@ -171,11 +161,6 @@ func NewMegafly(mf *topo.Megafly) *Megafly {
 // Dist implements Engine.
 func (r *Megafly) Dist(src, dst int) int { return r.t.Dist(src, dst) }
 
-// Route implements Engine.
-func (r *Megafly) Route(src, dst int, rng *rand.Rand) []int {
-	return r.t.Route(src, dst, rng)
-}
-
 // AppendPath implements Engine.
 func (r *Megafly) AppendPath(buf []int, src, dst int, rng *rand.Rand) []int {
 	return r.t.AppendPath(buf, src, dst, rng)
@@ -196,13 +181,8 @@ func NewValiant(min Engine, numRouters, samples int) *Valiant {
 	return &Valiant{Min: min, N: numRouters, Samples: samples}
 }
 
-// Via returns the two-phase path src→mid→dst, deduplicating the joint.
-func (v *Valiant) Via(src, mid, dst int, rng *rand.Rand) []int {
-	return v.AppendVia(nil, src, mid, dst, rng)
-}
-
-// AppendVia is the allocation-free variant of Via: it appends the
-// two-phase path onto buf, dropping the duplicated intermediate.
+// AppendVia appends the two-phase path src→mid→dst onto buf, dropping
+// the duplicated intermediate.
 func (v *Valiant) AppendVia(buf []int, src, mid, dst int, rng *rand.Rand) []int {
 	if mid == src || mid == dst {
 		return v.Min.AppendPath(buf, src, dst, rng)
@@ -226,9 +206,9 @@ func (v *Valiant) AppendVia(buf []int, src, mid, dst int, rng *rand.Rand) []int 
 // Candidates returns the minimal path followed by Samples valiant paths.
 func (v *Valiant) Candidates(src, dst int, rng *rand.Rand) [][]int {
 	out := make([][]int, 0, v.Samples+1)
-	out = append(out, v.Min.Route(src, dst, rng))
+	out = append(out, v.Min.AppendPath(nil, src, dst, rng))
 	for i := 0; i < v.Samples; i++ {
-		out = append(out, v.Via(src, rng.Intn(v.N), dst, rng))
+		out = append(out, v.AppendVia(nil, src, rng.Intn(v.N), dst, rng))
 	}
 	return out
 }

@@ -14,13 +14,8 @@ import "polarstar/internal/graph"
 // TreeEscape is immutable after construction and safe for concurrent
 // readers: AppendPath keeps its working set in stack-local arrays.
 type TreeEscape struct {
-	parent [][]int32 // per tree: vertex -> parent (-1 root, -2 unreached)
-	depth  [][]int32 // per tree: vertex -> depth from root
+	trees []upDownTree
 }
-
-// escMaxDepth bounds tree depth usable by AppendPath; ascents deeper
-// than this skip the tree (simulator paths are capped far below anyway).
-const escMaxDepth = 64
 
 // NewTreeEscape extracts up to maxTrees edge-disjoint spanning trees of g
 // (deterministic per seed) and prepares them for liveness-checked path
@@ -36,36 +31,14 @@ func NewTreeEscape(g *graph.Graph, maxTrees int, seed int64) (*TreeEscape, error
 	}
 	te := &TreeEscape{}
 	for _, tr := range trees {
-		depth := make([]int32, len(tr.Parent))
-		for i := range depth {
-			depth[i] = -1
-		}
-		var dfs func(v int32) int32
-		dfs = func(v int32) int32 {
-			if depth[v] >= 0 {
-				return depth[v]
-			}
-			p := tr.Parent[v]
-			if p < 0 {
-				depth[v] = 0
-			} else {
-				depth[v] = dfs(p) + 1
-			}
-			return depth[v]
-		}
-		for v := range tr.Parent {
-			if tr.Parent[v] != -2 {
-				dfs(int32(v))
-			}
-		}
-		te.parent = append(te.parent, tr.Parent)
-		te.depth = append(te.depth, depth)
+		t, _ := newUpDownTree(tr)
+		te.trees = append(te.trees, t)
 	}
 	return te, nil
 }
 
 // Trees returns the number of escape trees available.
-func (te *TreeEscape) Trees() int { return len(te.parent) }
+func (te *TreeEscape) Trees() int { return len(te.trees) }
 
 // AppendPath appends the shortest fully-live up-down tree path from src
 // to dst onto buf and returns the extended slice (buf unchanged when no
@@ -73,84 +46,17 @@ func (te *TreeEscape) Trees() int { return len(te.parent) }
 // usable; nil means every link is live. Ties between equally short tree
 // paths break toward the lowest tree index, so results are deterministic.
 func (te *TreeEscape) AppendPath(buf []int, src, dst int, live func(u, v int) bool) []int {
-	if src == dst {
-		return buf
-	}
-	bestTree, bestLen := -1, 0
-	var bestUp, bestDown [escMaxDepth]int32
-	var bestNU, bestND int
-	var bestLCA int32
-	for ti := range te.parent {
-		parent, depth := te.parent[ti], te.depth[ti]
-		if parent[src] == -2 || parent[dst] == -2 {
-			continue
+	n0 := len(buf)
+	for i := range te.trees {
+		// Only a strictly shorter path can replace the best so far; a
+		// tree that offers none leaves buf (and the best) untouched.
+		maxHops := 2 * maxTreeDepth
+		if len(buf) > n0 {
+			maxHops = len(buf) - n0 - 2
 		}
-		var up, down [escMaxDepth]int32
-		nu, nd := 0, 0
-		a, b := int32(src), int32(dst)
-		da, db := depth[a], depth[b]
-		if da >= escMaxDepth || db >= escMaxDepth {
-			continue
+		if p := te.trees[i].appendPath(buf[:n0], src, dst, maxHops, live); len(p) > n0 {
+			buf = p
 		}
-		for da > db {
-			up[nu] = a
-			nu++
-			a, da = parent[a], da-1
-		}
-		for db > da {
-			down[nd] = b
-			nd++
-			b, db = parent[b], db-1
-		}
-		for a != b {
-			up[nu] = a
-			down[nd] = b
-			nu++
-			nd++
-			a, b = parent[a], parent[b]
-		}
-		length := nu + nd // hops: up to the LCA and back down
-		if bestTree >= 0 && length >= bestLen {
-			continue
-		}
-		if live != nil && !treePathLive(up[:nu], a, down[:nd], live) {
-			continue
-		}
-		bestTree, bestLen = ti, length
-		bestUp, bestDown = up, down
-		bestNU, bestND, bestLCA = nu, nd, a
-	}
-	if bestTree < 0 {
-		return buf
-	}
-	for i := 0; i < bestNU; i++ {
-		buf = append(buf, int(bestUp[i]))
-	}
-	buf = append(buf, int(bestLCA))
-	for i := bestND - 1; i >= 0; i-- {
-		buf = append(buf, int(bestDown[i]))
 	}
 	return buf
-}
-
-// treePathLive checks every directed hop of the up-LCA-down walk.
-func treePathLive(up []int32, lca int32, down []int32, live func(u, v int) bool) bool {
-	prev := int32(-1)
-	for _, v := range up {
-		if prev >= 0 && !live(int(prev), int(v)) {
-			return false
-		}
-		prev = v
-	}
-	if prev >= 0 && !live(int(prev), int(lca)) {
-		return false
-	}
-	prev = lca
-	for i := len(down) - 1; i >= 0; i-- {
-		if !live(int(prev), int(down[i])) {
-			return false
-		}
-		prev = down[i]
-	}
-	return true
 }

@@ -4,12 +4,13 @@
 // topology-specific minimal routers for Dragonfly, HyperX, Fat-tree and
 // Megafly. Valiant/UGAL path selection is layered on top of any Engine.
 //
-// Every engine exposes two path APIs: Route, which returns a freshly
-// allocated path, and AppendPath, the allocation-free hot-path variant
-// that appends the path onto a caller-owned scratch buffer. The cycle
-// simulator and the analytic link-load sweeps route millions of packets;
-// they call AppendPath exclusively, so steady-state routing performs zero
-// heap allocations (see the testing.AllocsPerRun regression tests).
+// Every engine exposes one path API, AppendPath, which appends a path
+// onto a caller-owned buffer; one-off callers pass a nil buffer. The
+// cycle simulator and the analytic link-load sweeps route millions of
+// packets through reused buffers, so steady-state routing — and Dist —
+// performs zero heap allocations (see the testing.AllocsPerRun
+// regression tests). The spanning-tree routers (TreeEscape, MultiPath
+// lanes) share one up-down tree walker (treepath.go).
 package route
 
 import (
@@ -32,18 +33,15 @@ func workerCount(n int) int {
 
 // Engine computes router-level paths through one topology.
 type Engine interface {
-	// Route returns a minimal path from src to dst as a vertex sequence
-	// including both endpoints (nil for src == dst). Engines with path
-	// diversity use rng to sample among minimal paths; deterministic
-	// engines ignore it.
-	Route(src, dst int, rng *rand.Rand) []int
-	// AppendPath appends the same path Route would return onto buf and
-	// returns the extended slice (buf unchanged for src == dst or
-	// unreachable pairs). Implementations perform no heap allocation
-	// beyond growing buf, and consume rng exactly as Route does, so the
-	// two APIs are interchangeable under a fixed seed.
+	// AppendPath appends a minimal path from src to dst — a vertex
+	// sequence including both endpoints — onto buf and returns the
+	// extended slice (buf unchanged for src == dst or unreachable
+	// pairs). Engines with path diversity use rng to sample among
+	// minimal paths; deterministic engines ignore it (nil is fine).
+	// Implementations perform no heap allocation beyond growing buf.
 	AppendPath(buf []int, src, dst int, rng *rand.Rand) []int
-	// Dist returns the hop distance from src to dst.
+	// Dist returns the hop distance from src to dst (0 for src == dst,
+	// -1 for unreachable pairs), without allocating.
 	Dist(src, dst int) int
 }
 
@@ -183,11 +181,6 @@ func (t *Table) Dist(src, dst int) int {
 		return -1
 	}
 	return int(d)
-}
-
-// Route implements Engine.
-func (t *Table) Route(src, dst int, rng *rand.Rand) []int {
-	return t.AppendPath(nil, src, dst, rng)
 }
 
 // AppendPath implements Engine.

@@ -11,11 +11,12 @@ func BenchmarkAnalyticRoutePSIQ(b *testing.B) {
 	ps := topo.MustNewPolarStar(11, 3, topo.KindIQ)
 	r := NewPolarStar(ps)
 	rng := rand.New(rand.NewSource(1))
+	var buf []int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src, dst := rng.Intn(ps.G.N()), rng.Intn(ps.G.N())
-		_ = r.Route(src, dst, rng)
+		buf = r.AppendPath(buf[:0], src, dst, rng)
 	}
 }
 
@@ -31,11 +32,12 @@ func BenchmarkTableRoutePSIQ(b *testing.B) {
 	ps := topo.MustNewPolarStar(11, 3, topo.KindIQ)
 	t := NewTable(ps.G, AllMinPaths)
 	rng := rand.New(rand.NewSource(1))
+	var buf []int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src, dst := rng.Intn(ps.G.N()), rng.Intn(ps.G.N())
-		_ = t.Route(src, dst, rng)
+		buf = t.AppendPath(buf[:0], src, dst, rng)
 	}
 }
 

@@ -49,24 +49,7 @@ func (t *SpanningTree) Children() [][]int32 {
 
 // Depth returns the maximum root-to-leaf distance.
 func (t *SpanningTree) Depth() int {
-	depth := make([]int, len(t.Parent))
-	max := 0
-	var dfs func(v int) int
-	dfs = func(v int) int {
-		p := t.Parent[v]
-		if p < 0 {
-			return 0
-		}
-		if depth[v] == 0 {
-			depth[v] = dfs(int(p)) + 1
-		}
-		return depth[v]
-	}
-	for v := range t.Parent {
-		if d := dfs(v); d > max {
-			max = d
-		}
-	}
+	_, max := treeDepths(t.Parent)
 	return max
 }
 
@@ -413,13 +396,9 @@ func (st *bfsTreesState) reattach(t2, child, exU, exV int) bool {
 	order := []int32{int32(child)}
 	inB[child] = true
 	kids := make([][]int32, st.n)
-	root2 := -1
 	for v := 0; v < st.n; v++ {
-		p := st.parent[t2][v]
-		if p >= 0 {
+		if p := st.parent[t2][v]; p >= 0 {
 			kids[p] = append(kids[p], int32(v))
-		} else if p == -1 {
-			root2 = v
 		}
 	}
 	for head := 0; head < len(order); head++ {
@@ -428,18 +407,9 @@ func (st *bfsTreesState) reattach(t2, child, exU, exV int) bool {
 			order = append(order, c)
 		}
 	}
-	// Depths of the surviving part of t2 (B's depths are about to change).
-	depth2 := make([]int32, st.n)
-	if root2 >= 0 {
-		q := []int32{int32(root2)}
-		for head := 0; head < len(q); head++ {
-			u := q[head]
-			for _, c := range kids[u] {
-				depth2[c] = depth2[u] + 1
-				q = append(q, c)
-			}
-		}
-	}
+	// Depths in t2; only those outside B are read (B's are about to
+	// change).
+	depth2, _ := treeDepths(st.parent[t2])
 	// Tree adjacency inside B, for per-candidate eccentricity.
 	adjB := make([][]int32, st.n)
 	for _, x := range order {

@@ -2,6 +2,8 @@ package search
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -253,32 +255,98 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
+// TestRestoreValidation: every corruption of a valid checkpoint is a
+// typed error from Restore, never a panic.
 func TestRestoreValidation(t *testing.T) {
 	e, err := New(startGraph(t), testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := e.Checkpoint()
-
-	bad := *good
-	bad.Schema = "nope/v0"
-	if _, err := Restore(&bad, 1, 0); err == nil {
-		t.Error("bad schema accepted")
+	good, err := json.Marshal(e.Checkpoint())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	bad = *good
-	bad.States = bad.States[:1]
-	if _, err := Restore(&bad, 1, 0); err == nil {
-		t.Error("truncated states accepted")
+	cases := []struct {
+		name   string
+		mutate func(cp *Checkpoint)
+		want   error
+	}{
+		{"bad schema", func(cp *Checkpoint) { cp.Schema = "nope/v0" }, ErrCheckpointSchema},
+		{"no states", func(cp *Checkpoint) { cp.States = nil }, ErrCheckpointStates},
+		{"truncated states", func(cp *Checkpoint) { cp.States = cp.States[:1] }, ErrCheckpointStates},
+		{"misnumbered state", func(cp *Checkpoint) { cp.States[1].ID = 7 }, ErrCheckpointStates},
+		{"n too small for edges", func(cp *Checkpoint) { cp.N = 3 }, ErrCheckpointEdges},
+		{"n zero", func(cp *Checkpoint) { cp.N = 0 }, ErrCheckpointVertices},
+		{"n negative", func(cp *Checkpoint) { cp.N = -5 }, ErrCheckpointVertices},
+		{"n huge", func(cp *Checkpoint) { cp.N = graph.MaxEdgeListVertices + 1 }, ErrCheckpointVertices},
+		{"state edge out of range", func(cp *Checkpoint) { cp.States[0].Edges[0][1] = 64 }, ErrCheckpointEdges},
+		{"state edge negative", func(cp *Checkpoint) { cp.States[2].Edges[3][0] = -1 }, ErrCheckpointEdges},
+		{"state self-loop", func(cp *Checkpoint) { cp.States[0].Edges[0][1] = cp.States[0].Edges[0][0] }, ErrCheckpointEdges},
+		{"state duplicate edge", func(cp *Checkpoint) {
+			es := cp.States[0].Edges
+			es[1] = [2]int32{es[0][1], es[0][0]}
+		}, ErrCheckpointEdges},
+		{"state best edge out of range", func(cp *Checkpoint) { cp.States[1].BestEdges[0][0] = 1 << 20 }, ErrCheckpointEdges},
+		{"best edge out of range", func(cp *Checkpoint) { cp.BestEdges[0][1] = 99 }, ErrCheckpointEdges},
+		{"best self-loop", func(cp *Checkpoint) { cp.BestEdges[0][0] = cp.BestEdges[0][1] }, ErrCheckpointEdges},
+		{"best duplicate edge", func(cp *Checkpoint) { cp.BestEdges[2] = cp.BestEdges[1] }, ErrCheckpointEdges},
+		{"best edges empty", func(cp *Checkpoint) { cp.BestEdges = nil }, ErrCheckpointEdges},
+		{"best cost mismatch", func(cp *Checkpoint) { cp.BestCost-- }, ErrCheckpointCost},
+		{"state cost mismatch", func(cp *Checkpoint) { cp.States[0].Cost += 5 }, ErrCheckpointCost},
 	}
-
-	bad = *good
-	states := append([]SearcherState(nil), good.States...)
-	states[0].Cost += 5
-	bad.States = states
-	if _, err := Restore(&bad, 1, 0); err == nil {
-		t.Error("cost/graph mismatch accepted")
+	for _, tc := range cases {
+		cp, err := decodeCheckpoint(good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(cp)
+		if _, err := Restore(cp, 1, 0); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Restore err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
+	cp, _ := decodeCheckpoint(good)
+	if err := cp.Validate(); err != nil {
+		t.Errorf("valid checkpoint rejected: %v", err)
+	}
+}
+
+// FuzzCheckpoint: arbitrary bytes through checkpoint decoding and
+// Restore must yield an engine or an error, never a panic.
+func FuzzCheckpoint(f *testing.F) {
+	b := graph.NewBuilder("ring", 8)
+	for v := 0; v < 8; v++ {
+		b.AddEdge(v, (v+1)%8)
+		b.AddEdge(v, (v+3)%8)
+	}
+	p := testParams()
+	p.Searchers = 2
+	e, err := New(b.Build(), p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	good, err := json.Marshal(e.Checkpoint())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(bytes.Replace(good, []byte(`"n":8`), []byte(`"n":3`), 1))
+	f.Add(bytes.Replace(good, []byte(`"n":8`), []byte(`"n":-1`), 1))
+	f.Add([]byte(`{"schema":"pssearch-checkpoint/v1","n":2,"params":{"searchers":1},"states":[{"id":0,"rng":"0"}]}`))
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := decodeCheckpoint(data)
+		if err != nil {
+			return
+		}
+		// Keep restored graphs small: a checkpoint's n sizes the oracle
+		// Restore builds. Out-of-range n still reaches Validate.
+		if cp.N > 256 && cp.N <= graph.MaxEdgeListVertices {
+			return
+		}
+		if e, err := Restore(cp, 1, 0); err == nil && e == nil {
+			t.Fatal("Restore returned neither engine nor error")
+		}
+	})
 }
 
 func TestNewRejectsDegenerateStarts(t *testing.T) {

@@ -41,6 +41,9 @@ func checkPath(t *testing.T, spec *Spec, path []int, src, dst int) {
 		if len(path) != 0 {
 			t.Fatalf("%s: src==dst=%d returned non-empty path %v", spec.Name, src, path)
 		}
+		if d := spec.MinEngine.Dist(src, dst); d != 0 {
+			t.Fatalf("%s: Dist(%d,%d) = %d, want 0", spec.Name, src, dst, d)
+		}
 		return
 	}
 	if len(path) < 2 {
@@ -89,7 +92,7 @@ func routeDomain(spec *Spec) []int {
 
 // FuzzRoutePaths drives every registered routing engine with arbitrary
 // (topology, src, dst, seed) tuples and asserts the path contract, plus
-// the Route/AppendPath equivalence under equal seeds.
+// AppendPath reproducibility under equal seeds.
 func FuzzRoutePaths(f *testing.F) {
 	f.Add(uint8(0), uint16(0), uint16(1), int64(1))
 	f.Add(uint8(3), uint16(17), uint16(250), int64(42))
@@ -98,17 +101,17 @@ func FuzzRoutePaths(f *testing.F) {
 		spec := fuzzSpec(fuzzSpecNames[int(specIdx)%len(fuzzSpecNames)])
 		dom := routeDomain(spec)
 		src, dst := dom[int(srcRaw)%len(dom)], dom[int(dstRaw)%len(dom)]
-		path := spec.MinEngine.Route(src, dst, rand.New(rand.NewSource(seed)))
+		path := spec.MinEngine.AppendPath(nil, src, dst, rand.New(rand.NewSource(seed)))
 		checkPath(t, spec, path, src, dst)
-		// AppendPath with an equally seeded RNG must reproduce Route
-		// exactly (the allocation-free hot path is the same function).
-		buf := spec.MinEngine.AppendPath(make([]int, 0, 8), src, dst, rand.New(rand.NewSource(seed)))
-		if len(buf) != len(path) {
-			t.Fatalf("%s: AppendPath %v differs from Route %v", spec.Name, buf, path)
+		// Appending onto a non-empty buffer with an equally seeded RNG
+		// must keep the prefix and reproduce the path exactly.
+		buf := spec.MinEngine.AppendPath(append(make([]int, 0, 8), -1), src, dst, rand.New(rand.NewSource(seed)))
+		if len(buf) != 1+len(path) || buf[0] != -1 {
+			t.Fatalf("%s: AppendPath onto [-1] gave %v, want [-1] + %v", spec.Name, buf, path)
 		}
-		for i := range buf {
-			if buf[i] != path[i] {
-				t.Fatalf("%s: AppendPath %v differs from Route %v at hop %d", spec.Name, buf, path, i)
+		for i := range path {
+			if buf[1+i] != path[i] {
+				t.Fatalf("%s: AppendPath onto [-1] gave %v, want [-1] + %v", spec.Name, buf, path)
 			}
 		}
 	})
@@ -124,7 +127,7 @@ func TestRoutePathSweep(t *testing.T) {
 		dom := routeDomain(spec)
 		for i := 0; i < 500; i++ {
 			src, dst := dom[rng.Intn(len(dom))], dom[rng.Intn(len(dom))]
-			path := spec.MinEngine.Route(src, dst, rng)
+			path := spec.MinEngine.AppendPath(nil, src, dst, rng)
 			checkPath(t, spec, path, src, dst)
 		}
 	}

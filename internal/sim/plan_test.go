@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"polarstar/internal/graph"
 )
 
 func TestParsePlanRoundTrip(t *testing.T) {
@@ -120,4 +123,37 @@ func TestRetryPolicyNormalized(t *testing.T) {
 	if got.MaxRetries != 0 || got.BackoffBase != 1 || got.BackoffCap != 1 || got.MaxAge != 7 {
 		t.Errorf("degenerate policy normalized to %+v", got)
 	}
+}
+
+// FuzzParsePlan: ParsePlan never panics, an accepted plan's canonical
+// String() parses back to the same events and text, and validating it
+// against a small graph never panics.
+func FuzzParsePlan(f *testing.F) {
+	f.Add("# a comment\n10 link-down 0 1\n\n5 router-down 2\n20 link-up 0 1\n30 router-up 2\n")
+	f.Add("0 link-down 4 0\n0 link-up 0 4\n")
+	f.Add("+7 router-down -1\n9223372036854775807 link-down 2 9\n")
+	f.Add("10 link-down 0")
+	b := graph.NewBuilder("ring5", 5)
+	for v := 0; v < 5; v++ {
+		b.AddEdge(v, (v+1)%5)
+	}
+	g := b.Build()
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := ParsePlan(text)
+		if err != nil {
+			return
+		}
+		canon := p.String()
+		p2, err := ParsePlan(canon)
+		if err != nil {
+			t.Fatalf("canonical form %q does not parse: %v", canon, err)
+		}
+		if got := p2.String(); got != canon {
+			t.Fatalf("round trip changed the canonical form:\n%q\n%q", canon, got)
+		}
+		if !reflect.DeepEqual(p2.Events, p.Events) {
+			t.Fatalf("round trip changed the events: %v -> %v", p.Events, p2.Events)
+		}
+		_ = p.Validate(g)
+	})
 }

@@ -11,7 +11,7 @@
 //
 //	ps, err := polarstar.New(11, 3, polarstar.IQ) // 1064 routers, radix 15
 //	router := polarstar.NewMinRouter(ps)          // §9.2 analytic minpaths
-//	path := router.Route(0, 999, nil)
+//	path := router.AppendPath(nil, 0, 999, nil)
 //
 // See the runnable programs under examples/ and the experiment
 // reproduction tools under cmd/.
