@@ -104,6 +104,30 @@ func TestPsroute(t *testing.T) {
 	}
 }
 
+// TestPsrouteIndirect pins psroute on a fat tree, whose endpoints sit on
+// the leaf routers only: Valiant candidates between two leaves route
+// through leaf intermediates, and a switch id (57 is a level-1 switch of
+// ft-small) is rejected with an error and exit status 1, not a panic.
+func TestPsrouteIndirect(t *testing.T) {
+	out := run(t, "psroute", "-spec", "ft-small", "-src", "0", "-dst", "20", "-valiant")
+	if n := strings.Count(out, "candidate "); n != 5 {
+		t.Errorf("psroute ft-small -valiant printed %d candidates, want 5:\n%s", n, out)
+	}
+	for _, ids := range [][2]string{{"0", "57"}, {"57", "20"}} {
+		src, dst := ids[0], ids[1]
+		cmd := exec.Command(filepath.Join(binDir, "psroute"), "-spec", "ft-small", "-src", src, "-dst", dst, "-valiant")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Errorf("psroute -src %s -dst %s: err %v, want exit status 1", src, dst, err)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "hosts no endpoints") || strings.Contains(msg, "panic") {
+			t.Errorf("psroute -src %s -dst %s stderr:\n%s", src, dst, msg)
+		}
+	}
+}
+
 func TestPsscale(t *testing.T) {
 	out := run(t, "psscale", "-fig", "7", "-lo", "8", "-hi", "10")
 	if !strings.Contains(out, "radix") {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 
 	"polarstar/internal/route"
 	"polarstar/internal/sim"
@@ -37,6 +38,15 @@ func main() {
 	}
 	if *src < 0 || *src >= spec.Graph.N() || *dst < 0 || *dst >= spec.Graph.N() {
 		fatal(fmt.Errorf("router ids must be in [0,%d)", spec.Graph.N()))
+	}
+	if spec.Hosts != nil {
+		// Indirect topologies route only between endpoint-hosting routers.
+		for _, r := range []int{*src, *dst} {
+			if !slices.Contains(spec.Hosts, r) {
+				fatal(fmt.Errorf("router %d hosts no endpoints on %s; -src and -dst must be one of its %d host routers",
+					r, *specName, len(spec.Hosts)))
+			}
+		}
 	}
 	rng := rand.New(rand.NewSource(*seed))
 
@@ -66,6 +76,7 @@ func main() {
 
 	if *valiant {
 		v := route.NewValiant(spec.MinEngine, spec.Graph.N(), 4)
+		v.Mids = spec.UGALMids
 		for i, cand := range v.Candidates(*src, *dst, rng) {
 			kind := "valiant"
 			if i == 0 {

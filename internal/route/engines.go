@@ -169,11 +169,14 @@ func (r *Megafly) AppendPath(buf []int, src, dst int, rng *rand.Rand) []int {
 // Valiant wraps a minimal engine with randomized misrouting: a path to a
 // random intermediate router followed by a minimal path to the
 // destination (§9.3). Candidates exposes the UGAL choice set: the minimal
-// path plus Samples valiant paths.
+// path plus Samples valiant paths. Intermediates are drawn from Mids, or
+// from all N routers when Mids is nil (indirect topologies route only
+// between their endpoint-hosting routers, so they set Mids to those).
 type Valiant struct {
 	Min     Engine
-	N       int // number of routers
-	Samples int // intermediates sampled per decision (the paper uses 4)
+	N       int   // number of routers
+	Samples int   // intermediates sampled per decision (the paper uses 4)
+	Mids    []int // candidate intermediate routers (nil: all 0..N-1)
 }
 
 // NewValiant builds a Valiant/UGAL path provider over a minimal engine.
@@ -208,7 +211,13 @@ func (v *Valiant) Candidates(src, dst int, rng *rand.Rand) [][]int {
 	out := make([][]int, 0, v.Samples+1)
 	out = append(out, v.Min.AppendPath(nil, src, dst, rng))
 	for i := 0; i < v.Samples; i++ {
-		out = append(out, v.AppendVia(nil, src, rng.Intn(v.N), dst, rng))
+		var mid int
+		if v.Mids != nil {
+			mid = v.Mids[rng.Intn(len(v.Mids))]
+		} else {
+			mid = rng.Intn(v.N)
+		}
+		out = append(out, v.AppendVia(nil, src, mid, dst, rng))
 	}
 	return out
 }

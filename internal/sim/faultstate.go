@@ -372,7 +372,8 @@ func (fs *faultState) dropInFlight(t int64) {
 				e.occSum[c] -= S
 				fs.droppedInFlight++
 				e.mailDropped++
-				fs.scheduleRetry(t, st.srcEP[a.id], st.dstEP[a.id], st.gen[a.id], st.retries[a.id])
+				rec := &st.rec[a.id]
+				fs.scheduleRetry(t, st.srcEP[a.id], rec.dstEP, rec.gen, rec.retries)
 				st.free = append(st.free, a.id)
 				continue
 			}
@@ -422,17 +423,16 @@ func (fs *faultState) laneFailover(sh *shardState, id int32, unit int32) bool {
 		return false
 	}
 	e := fs.e
-	st := &e.pkts
-	hop := int(st.hop[id])
+	rec := &e.pkts.rec[id]
 	var cur int
-	if hop == 0 {
-		cur = e.cfg.RouterOf(int(st.srcEP[id]))
+	if rec.hop == 0 {
+		cur = e.cfg.RouterOf(int(e.pkts.srcEP[id]))
 	} else {
-		cur = e.g.ChannelTo(int(st.chans[int(id)*pktStride+hop-1]))
+		cur = e.g.ChannelTo(int(rec.chans[rec.hop-1]))
 	}
-	dst := e.cfg.RouterOf(int(st.dstEP[id]))
+	dst := e.cfg.RouterOf(int(rec.dstEP))
 	mp := fs.health.mp
-	for l2 := int(st.lane[id]) + 1; l2 <= mp.TreeLanes(); l2++ {
+	for l2 := int(rec.lane) + 1; l2 <= mp.TreeLanes(); l2++ {
 		if !fs.health.up[l2-1] {
 			continue
 		}
@@ -441,13 +441,12 @@ func (fs *faultState) laneFailover(sh *shardState, id int32, unit int32) bool {
 		if len(path) == 0 || len(path)-1 > pktStride {
 			continue // lane's tree path is out of bound or crosses a failure
 		}
-		base := int(id) * pktStride
 		for i := 0; i+1 < len(path); i++ {
-			st.chans[base+i] = int32(e.channelID(path[i], path[i+1]))
+			rec.chans[i] = int32(e.channelID(path[i], path[i+1]))
 		}
-		st.nHops[id] = int8(len(path) - 1)
-		st.hop[id] = 0
-		st.lane[id] = int8(l2)
+		rec.nHops = int8(len(path) - 1)
+		rec.hop = 0
+		rec.lane = int8(l2)
 		if sh.met != nil && sh.met.laneFailover != nil {
 			sh.met.laneFailover[l2]++
 		}
@@ -462,7 +461,8 @@ func (fs *faultState) laneFailover(sh *shardState, id int32, unit int32) bool {
 // journal is per shard; collectRetries serializes it.
 func (fs *faultState) retryFrom(sh *shardState, id int32) {
 	st := &fs.e.pkts
-	sh.retryQ = append(sh.retryQ, retryReq{ep: st.srcEP[id], dst: st.dstEP[id], gen: st.gen[id], retries: st.retries[id]})
+	rec := &st.rec[id]
+	sh.retryQ = append(sh.retryQ, retryReq{ep: st.srcEP[id], dst: rec.dstEP, gen: rec.gen, retries: rec.retries})
 }
 
 // collectRetries drains the per-shard retry journals in fixed shard
@@ -600,9 +600,7 @@ func (fs *faultState) watchdogLimit() int64 {
 // at the end of this cycle.
 func (fs *faultState) finishStranded(t int64) {
 	e := fs.e
-	for i := range e.queues {
-		fs.lostStranded += int64(e.queues[i].len())
-	}
+	fs.lostStranded += int64(e.queues.total())
 	for i := range e.mail {
 		fs.lostStranded += int64(len(e.mail[i]))
 	}

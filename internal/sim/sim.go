@@ -22,10 +22,10 @@
 // aggregation. See DESIGN.md §7 for the semantics and the
 // deadlock-equivalence argument.
 //
-// Packet state lives in a structure-of-arrays slab (store.go) and cycles
-// with no possible work are skipped outright by the event-horizon
-// advance (horizon.go); DESIGN.md §10 argues why neither can change a
-// single Result bit.
+// Packet state lives in a slab of one-cache-line records (store.go),
+// and cycles with no possible work are skipped outright by the
+// event-horizon advance (horizon.go); DESIGN.md §10 argues why neither
+// can change a single Result bit.
 package sim
 
 import (
@@ -194,8 +194,8 @@ type Engine struct {
 	laneBase  []int32 // lane -> first VC of its band
 	laneEnd   []int32 // lane -> one past the last VC of its band
 
-	// pkts is the structure-of-arrays packet slab; every queue and mail
-	// ring below holds int32 ids into it. See store.go for the id
+	// pkts is the packet slab; every queue and mail ring below holds
+	// int32 ids into it. See store.go for the record layout, the id
 	// lifecycle and its serial-section free-list discipline.
 	pkts pktStore
 
@@ -220,8 +220,9 @@ type Engine struct {
 	// are numbered router-major — each router's queues are contiguous and
 	// each shard's block is padded to a 64-unit boundary, so the inActive
 	// bitset below is word-disjoint across shards. Credit state stays
-	// channel-indexed; the unit maps translate between the two.
-	queues     []pktQueue
+	// channel-indexed; the unit maps translate between the two. The
+	// queues themselves are FIFOs threaded through the packet slab.
+	queues     queueSet
 	unitHome   []int32 // unit -> router owning the queue
 	unitCredit []int32 // unit -> credit index (channel*vcs+vc), -1 for injection queues
 	unitMinVC  []int8  // unit -> lowest VC the next hop may use (vc+1; 0 for injection)
@@ -532,12 +533,12 @@ func NewEngine(params Params, g *graph.Graph, cfg traffic.Config, routing Routin
 	}
 	e.buildUnits()
 	e.active = make([][]int32, n)
-	e.inActive = newBitset(len(e.queues))
+	e.inActive = newBitset(len(e.queues.ends))
 	e.inWorklist = make([]bool, n)
-	e.wake = make([]int64, len(e.queues))
+	e.wake = make([]int64, len(e.queues.ends))
 	e.routerWake = make([]int64, n)
 	e.waiterHead = make([]int32, nChans)
-	e.waiterNext = make([]int32, len(e.queues))
+	e.waiterNext = make([]int32, len(e.queues.ends))
 	for i := range e.waiterHead {
 		e.waiterHead[i] = -1
 	}
@@ -651,7 +652,7 @@ func (e *Engine) buildUnits() {
 	e.unitCredit = e.unitCredit[:next]
 	e.unitMinVC = e.unitMinVC[:next]
 	e.unitEP = e.unitEP[:next]
-	e.queues = make([]pktQueue, next)
+	e.queues = newQueueSet(int(next), &e.pkts)
 }
 
 // initMetrics sizes the telemetry storage once, before the first cycle:
@@ -664,7 +665,7 @@ func (e *Engine) initMetrics(params Params) {
 	m.CreditStallVC = make([]int64, e.vcs)
 	m.OccHWM = make(obs.ChannelHWM, e.g.NumChannels())
 	e.occHWM = m.OccHWM
-	e.parked = make([]parkedStall, len(e.queues))
+	e.parked = make([]parkedStall, len(e.queues.ends))
 	for _, sh := range e.shards {
 		sh.met = &shardMetrics{creditVC: make([]int64, e.vcs)}
 		if e.laneCount > 1 {
@@ -861,7 +862,7 @@ func (e *Engine) commit(t int64) {
 		// Source backlog only: packets still waiting in injection
 		// queues (in-flight packets are not backlog).
 		for _, u := range e.injUnit {
-			e.backlogMeasEnd += e.queues[u].len()
+			e.backlogMeasEnd += e.queues.len(u)
 		}
 	}
 	if e.metInterval > 0 && (t+1)%e.metInterval == 0 {
@@ -1060,24 +1061,23 @@ func (e *Engine) routeShard(sh *shardState) {
 		// (refillIDs guaranteed one per pending injection) and fill it.
 		id := sh.freeIDs[len(sh.freeIDs)-1]
 		sh.freeIDs = sh.freeIDs[:len(sh.freeIDs)-1]
-		base := int(id) * pktStride
+		rec := &st.rec[id]
 		for i := 0; i+1 < len(path); i++ {
 			c := e.channelID(path[i], path[i+1])
 			if c < 0 {
 				panic("sim: packet path uses a non-edge")
 			}
-			st.chans[base+i] = int32(c)
+			rec.chans[i] = int32(c)
 		}
-		st.nHops[id] = int8(max(len(path)-1, 0))
-		st.hop[id] = 0
-		st.gen[id] = pi.gen
-		st.dstEP[id] = pi.dst
+		rec.nHops = int8(max(len(path)-1, 0))
+		rec.hop = 0
+		rec.gen = pi.gen
+		rec.dstEP = pi.dst
+		rec.retries = pi.retries
+		rec.lane = lane
 		st.srcEP[id] = pi.ep
-		st.retries[id] = pi.retries
-		st.lane[id] = lane
-		st.measure[id] = pi.gen >= int64(e.p.Warmup) && pi.gen < int64(e.p.Warmup+e.p.Measure)
 		unit := e.injUnit[pi.ep]
-		e.queues[unit].push(id)
+		e.queues.push(unit, id)
 		e.markActive(unit, sh)
 		if sh.met != nil {
 			sh.met.injected++
@@ -1099,7 +1099,7 @@ func (e *Engine) arbitrateShard(sh *shardState, sid int) {
 	for src := 0; src < numShards; src++ {
 		box := &e.mail[(src*numShards+sid)*e.ringLen+slot]
 		for _, a := range *box {
-			e.queues[a.unit].push(a.id)
+			e.queues.push(a.unit, a.id)
 			e.markActive(a.unit, sh)
 		}
 		sh.mailIn += int64(len(*box))
@@ -1139,14 +1139,13 @@ func (e *Engine) arbitrateShard(sh *shardState, sid int) {
 				}
 				continue
 			}
-			q := &e.queues[unit]
-			if q.empty() {
+			if e.queues.empty(unit) {
 				e.inActive.clear(unit)
 				removed = true
 				continue
 			}
-			e.tryForward(sh, sid, unit, q, S)
-			if q.empty() {
+			e.tryForward(sh, sid, unit, S)
+			if e.queues.empty(unit) {
 				e.inActive.clear(unit)
 				removed = true
 			} else if w := e.wake[unit]; w < minWake {
@@ -1186,9 +1185,9 @@ func (e *Engine) arbitrateShard(sh *shardState, sid int) {
 // by the packet itself (the hop cursor of its own queue head); effects
 // on other routers — forwarded packets, freed credits, freed ids — go
 // into the shard journals.
-func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S int64) {
-	id := q.front()
-	st := &e.pkts
+func (e *Engine) tryForward(sh *shardState, sid int, unit int32, S int64) {
+	id := e.queues.front(unit)
+	rec := &e.pkts.rec[id]
 	if sh.met != nil {
 		e.chargeParked(sh.met, unit)
 	}
@@ -1203,17 +1202,17 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S 
 			return
 		}
 	}
-	hop, nHops := st.hop[id], st.nHops[id]
+	hop, nHops := rec.hop, rec.nHops
 	if hop == nHops {
 		// Ejection to the destination endpoint.
-		ep := st.dstEP[id]
+		ep := rec.dstEP
 		if e.fs != nil && e.fs.deadRouter[e.cfg.RouterOf(int(ep))] {
 			// The destination router died under the packet: drop it here,
 			// release this buffer's credit, and source-retry.
 			e.fs.retryFrom(sh, id)
 			e.release(sh, unit)
 			sh.freed = append(sh.freed, id)
-			q.pop()
+			e.queues.pop(unit)
 			return
 		}
 		if e.ejBusy[ep] > e.now {
@@ -1224,17 +1223,17 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S 
 			return
 		}
 		e.ejBusy[ep] = e.now + S
-		sh.deliver(st, id, e.now+S, e.p.PacketFlits)
+		sh.deliver(e.now+S-rec.gen, e.measured(rec.gen), e.p.PacketFlits)
 		if sh.met != nil && sh.met.laneDelivered != nil {
-			sh.met.laneDelivered[st.lane[id]]++
+			sh.met.laneDelivered[rec.lane]++
 		}
 		e.release(sh, unit)
 		sh.freed = append(sh.freed, id)
 		e.wake[unit] = e.now + 1
-		q.pop()
+		e.queues.pop(unit)
 		return
 	}
-	c := st.chans[int(id)*pktStride+int(hop)]
+	c := rec.chans[hop]
 	if e.fs != nil && e.fs.deadChan[c] {
 		// The next link of the packet's path is down. A multipath packet
 		// first tries a lane failover: re-route in place from this router
@@ -1251,7 +1250,7 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S 
 		e.fs.retryFrom(sh, id)
 		e.release(sh, unit)
 		sh.freed = append(sh.freed, id)
-		q.pop()
+		e.queues.pop(unit)
 		return
 	}
 	if e.busy[c] > e.now {
@@ -1271,7 +1270,7 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S 
 	// single lane the band is the whole ladder and the bounds reduce to
 	// the classic minVC..vcs-1-remaining.
 	minVC := int(e.unitMinVC[unit])
-	lane := st.lane[id]
+	lane := rec.lane
 	if base := int(e.laneBase[lane]); minVC < base {
 		minVC = base
 	}
@@ -1320,7 +1319,7 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S 
 	if ep := e.unitEP[unit]; ep >= 0 {
 		e.injBusy[ep] = e.now + S
 	}
-	st.hop[id] = hop + 1
+	rec.hop = hop + 1
 	dstShard := int(e.routerShard[e.g.ChannelTo(int(c))])
 	arrive := int((e.now + S + int64(e.p.LinkLatency)) % int64(e.ringLen))
 	box := &e.mail[(sid*numShards+dstShard)*e.ringLen+arrive]
@@ -1328,7 +1327,7 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S 
 	sh.mailOut++
 	e.release(sh, unit)
 	e.wake[unit] = e.now + 1
-	q.pop()
+	e.queues.pop(unit)
 }
 
 // release journals the upstream buffer credit freed when a packet leaves
@@ -1341,11 +1340,18 @@ func (e *Engine) release(sh *shardState, unit int32) {
 	}
 }
 
-func (sh *shardState) deliver(st *pktStore, id int32, at int64, flits int) {
+// measured reports whether a packet generated at cycle gen counts toward
+// the measured statistics: it was generated inside the measurement
+// window. A retried packet keeps its first generation cycle.
+func (e *Engine) measured(gen int64) bool {
+	return gen >= int64(e.p.Warmup) && gen < int64(e.p.Warmup+e.p.Measure)
+}
+
+// deliver records the delivery of a packet of latency lat.
+func (sh *shardState) deliver(lat int64, measured bool, flits int) {
 	sh.deliveredAll++
-	if st.measure[id] {
+	if measured {
 		sh.deliveredMeas++
-		lat := at - st.gen[id]
 		sh.latencySumMeas += lat
 		if lat > sh.latencyMax {
 			sh.latencyMax = lat
@@ -1396,9 +1402,7 @@ func (e *Engine) result(load float64) Result {
 		res.DeliveredFrac = float64(deliveredMeas) / float64(e.generatedMeas)
 	}
 	res.Throughput = float64(injectedFlits) / float64(e.cfg.Endpoints()) / float64(e.p.Measure)
-	for i := range e.queues {
-		res.Backlog += e.queues[i].len()
-	}
+	res.Backlog = e.queues.total()
 	res.BacklogAtMeasEnd = e.backlogMeasEnd
 	for _, sh := range e.shards {
 		res.Lost += sh.lostPkts

@@ -224,9 +224,9 @@ func TestCreditInvariants(t *testing.T) {
 			t.Fatalf("occ[%d] = %d after full drain", i, o)
 		}
 	}
-	for i := range eng.queues {
-		if !eng.queues[i].empty() {
-			t.Fatalf("queue %d not empty after drain", i)
+	for u := range eng.queues.ends {
+		if !eng.queues.empty(int32(u)) {
+			t.Fatalf("queue %d not empty after drain", u)
 		}
 	}
 }

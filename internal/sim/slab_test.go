@@ -46,7 +46,39 @@ func slabRun(t *testing.T, workers int, load float64, plan *Plan, retry RetryPol
 	return eng, res
 }
 
-// TestSlabInvariantAfterRun pins the allocator contract of the SoA
+// slabRunMP drives one saturated MP-MIN run on the multipath testbed
+// while the first tree lane loses three edges mid-run: queued heads whose
+// next channel died fail over in place onto the two higher lanes, which
+// stay up (their route rewritten inside the packet record), and the rest
+// are dropped and retried.
+func slabRunMP(t *testing.T, workers int) (*Engine, Result, *obs.SimRun) {
+	t.Helper()
+	spec := MustNewSpec(mpTestSpec)
+	p := DefaultParams(7)
+	p.Warmup, p.Measure, p.Drain = 300, 600, 900
+	p.Workers = workers
+	p.Lanes = 3
+	p.Plan = &Plan{}
+	for _, ed := range laneEdges(t, spec, p.Lanes)[0][:3] {
+		p.Plan.Events = append(p.Plan.Events,
+			FaultEvent{Cycle: 350, Kind: LinkDown, U: ed[0], V: ed[1]},
+			FaultEvent{Cycle: 700, Kind: LinkUp, U: ed[0], V: ed[1]})
+	}
+	p.Metrics = &obs.SimRun{}
+	routing, err := spec.MultiPathRouting(spec.MinRouting(), p.Lanes, p.PacketFlits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern, err := spec.Pattern("uniform", p.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(p, spec.Graph, spec.Config(), routing, pattern)
+	res := runGuarded(t, eng, 0.9)
+	return eng, res, p.Metrics
+}
+
+// TestSlabInvariantAfterRun pins the allocator contract of the
 // packet store: after any run, every id ever created is accounted for
 // exactly once (no leaks, no id live in two queues), and a fully drained
 // healthy run returns every id to the allocator (allocated − freed == 0).
@@ -86,6 +118,22 @@ func TestSlabInvariantAfterRun(t *testing.T) {
 			}
 		})
 	}
+	t.Run("multipath-saturated-faulty", func(t *testing.T) {
+		t.Parallel()
+		for _, workers := range []int{1, 4} {
+			eng, res, met := slabRunMP(t, workers)
+			if err := eng.slabCheck(); err != nil {
+				t.Fatalf("workers=%d: %v (result %+v)", workers, err, res)
+			}
+			if live, want := slabLive(eng), slabExpectedLive(eng, res); live != want {
+				t.Errorf("workers=%d: %d live ids, want %d (result %+v)", workers, live, want, res)
+			}
+			if !res.Saturated || failoverSum(met.Lanes) == 0 {
+				t.Errorf("workers=%d: want a saturated run with lane failovers, got saturated=%v failovers=%v",
+					workers, res.Saturated, met.Lanes.Failovers)
+			}
+		}
+	})
 }
 
 // FuzzSlabInvariants fuzzes the slab allocator the way FuzzRoutePaths

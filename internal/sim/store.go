@@ -2,12 +2,14 @@ package sim
 
 import "fmt"
 
-// Structure-of-arrays packet storage. Packets used to be 48-byte structs
-// copied through every queue push, mail-ring hop and forward; they are
-// now a recycled int32 id into parallel field slabs, so queues and mail
-// rings move 4–8 bytes per packet and arbitration touches only the
-// fields it reads (hop, nHops, the next channel id) instead of dragging
-// whole structs through the cache. See DESIGN.md §10.
+// Packet storage. A packet is a recycled int32 id into one slab of
+// 64-byte records: everything a forward attempt reads — the resolved
+// channel path, the hop cursor, the lane, the destination and the
+// generation cycle — sits in one cache line, and so does the link that
+// threads the packet through its queue. Queues and mail rings move 4–8
+// bytes per packet. Queue state is two int32s per unit (queueSet), so
+// neither the slab nor the queue ends contain a pointer and the collector
+// never scans them. See DESIGN.md §10.
 //
 // Id lifecycle (the determinism contract):
 //
@@ -29,18 +31,25 @@ import "fmt"
 // the longest representable path.
 const pktStride = MaxPathNodes - 1
 
-// pktStore holds every packet field as a dense parallel array indexed by
-// packet id. chans is flattened at pktStride int32s per id.
+// pktRec is one packet: exactly 64 bytes, one cache line. Whether the
+// packet counts toward the measured latency is derived from gen at
+// delivery (Engine.measured), so it needs no field.
+type pktRec struct {
+	gen     int64            // generation cycle (latency base)
+	chans   [pktStride]int32 // channel id of hop i
+	next    int32            // next id in the same queue, -1 at the tail
+	dstEP   int32            // destination endpoint
+	nHops   int8             // channels on the path; 0 = source == destination router
+	hop     int8             // channels already traversed; ejects at hop == nHops
+	lane    int8             // routing lane: 0 = minimal band, 1.. = tree lanes (multipath only)
+	retries uint8            // source retries already consumed (faults only)
+}
+
+// pktStore is the packet slab: rec indexed by packet id, plus the source
+// endpoint in a side array because only the fault paths read it.
 type pktStore struct {
-	chans   []int32 // id*pktStride + i: channel id of hop i
-	nHops   []int8  // channels on the path; 0 = source == destination router
-	hop     []int8  // channels already traversed; ejects at hop == nHops
-	gen     []int64 // generation cycle (latency base)
-	dstEP   []int32 // destination endpoint
-	srcEP   []int32 // source endpoint: the re-injection point under faults
-	retries []uint8 // source retries already consumed (faults only)
-	lane    []int8  // routing lane: 0 = minimal band, 1.. = tree lanes (multipath only)
-	measure []bool  // generated inside the measurement window
+	rec   []pktRec
+	srcEP []int32 // source endpoint: the re-injection point under faults
 
 	// free is the global id stack. Serial sections only: refillIDs pops,
 	// commit and the fault paths push. Capacity always equals the slab
@@ -49,7 +58,7 @@ type pktStore struct {
 }
 
 // cap returns the slab capacity (ids ever created).
-func (st *pktStore) cap() int { return len(st.nHops) }
+func (st *pktStore) cap() int { return len(st.rec) }
 
 // grow extends the slab so at least n more ids are free, growing
 // geometrically to amortize. Serial sections only.
@@ -61,15 +70,8 @@ func (st *pktStore) grow(n int) {
 		n = 256
 	}
 	old := st.cap()
-	st.chans = append(st.chans, make([]int32, n*pktStride)...)
-	st.nHops = append(st.nHops, make([]int8, n)...)
-	st.hop = append(st.hop, make([]int8, n)...)
-	st.gen = append(st.gen, make([]int64, n)...)
-	st.dstEP = append(st.dstEP, make([]int32, n)...)
+	st.rec = append(st.rec, make([]pktRec, n)...)
 	st.srcEP = append(st.srcEP, make([]int32, n)...)
-	st.retries = append(st.retries, make([]uint8, n)...)
-	st.lane = append(st.lane, make([]int8, n)...)
-	st.measure = append(st.measure, make([]bool, n)...)
 	free := make([]int32, len(st.free), st.cap())
 	copy(free, st.free)
 	// Hand out low ids first (descending push, LIFO pop) to keep the
@@ -80,12 +82,79 @@ func (st *pktStore) grow(n int) {
 	st.free = free
 }
 
+// queueSet is every packet FIFO of the engine (the channel/VC input
+// buffers and the endpoint injection queues), threaded intrusively
+// through the slab: a unit stores its head and tail id, each queued
+// packet the id behind it. push, pop, front and empty are O(1) and
+// allocation-free; len walks the list and is for end-of-run accounting
+// only. A packet is in at most one queue, so one link per record serves
+// all of them, and a queue's links are written only by the shard that
+// owns the queue.
+type queueSet struct {
+	ends []qEnds
+	st   *pktStore
+}
+
+// qEnds is one FIFO's head and tail id, both -1 when empty.
+type qEnds struct{ head, tail int32 }
+
+func newQueueSet(units int, st *pktStore) queueSet {
+	ends := make([]qEnds, units)
+	for i := range ends {
+		ends[i] = qEnds{-1, -1}
+	}
+	return queueSet{ends: ends, st: st}
+}
+
+func (qs *queueSet) empty(u int32) bool  { return qs.ends[u].head < 0 }
+func (qs *queueSet) front(u int32) int32 { return qs.ends[u].head }
+
+func (qs *queueSet) push(u, id int32) {
+	q := &qs.ends[u]
+	qs.st.rec[id].next = -1
+	if q.tail >= 0 {
+		qs.st.rec[q.tail].next = id
+	} else {
+		q.head = id
+	}
+	q.tail = id
+}
+
+// pop removes the head of a non-empty queue.
+func (qs *queueSet) pop(u int32) {
+	q := &qs.ends[u]
+	if q.head == q.tail {
+		*q = qEnds{-1, -1}
+		return
+	}
+	q.head = qs.st.rec[q.head].next
+}
+
+// len counts the queued packets by walking the list.
+func (qs *queueSet) len(u int32) int {
+	n := 0
+	for id := qs.ends[u].head; id >= 0; id = qs.st.rec[id].next {
+		n++
+	}
+	return n
+}
+
+// total is the number of packets queued over all units.
+func (qs *queueSet) total() int {
+	n := 0
+	for u := range qs.ends {
+		n += qs.len(int32(u))
+	}
+	return n
+}
+
 // slabCheck verifies the packet-id accounting invariant: every id ever
 // created is in exactly one place — the global free stack, a shard's
 // allocation cache or freed journal, a queue, or a mail ring. Violations
 // mean a leak (an id lost to the allocator forever) or a double-spend
 // (one id live in two queues, i.e. two packets aliasing one slab slot).
-// Called by the property and fuzz tests after runs, including
+// Queues are walked link by link, and each must end at its recorded
+// tail. Called by the property and fuzz tests after runs, including
 // terminated-early fault runs where stranded ids legitimately stay in
 // queues.
 func (e *Engine) slabCheck() error {
@@ -117,12 +186,21 @@ func (e *Engine) slabCheck() error {
 			}
 		}
 	}
-	for u := range e.queues {
-		q := &e.queues[u]
-		for _, id := range q.buf[q.head:] {
+	for u, q := range e.queues.ends {
+		if (q.head < 0) != (q.tail < 0) {
+			return fmt.Errorf("sim: queue %d has head %d but tail %d", u, q.head, q.tail)
+		}
+		last := int32(-1)
+		for id := q.head; id >= 0; id = e.pkts.rec[id].next {
+			// claim range-checks id before the link is followed, and a
+			// cycle in the list re-claims an id and fails.
 			if err := claim(id, fmt.Sprintf("queue %d", u)); err != nil {
 				return err
 			}
+			last = id
+		}
+		if last != q.tail {
+			return fmt.Errorf("sim: queue %d ends at id %d but its tail is %d", u, last, q.tail)
 		}
 	}
 	for i := range e.mail {
@@ -138,31 +216,6 @@ func (e *Engine) slabCheck() error {
 		}
 	}
 	return nil
-}
-
-// pktQueue is one FIFO of packet ids (a channel/VC input buffer or an
-// endpoint injection queue). pop compacts whenever the dead prefix
-// reaches half the buffer: each element is copied at most once per
-// residence on average (amortized O(1)) and the buffer's high-water
-// capacity stays ~2× the live occupancy, so queues reach a steady state
-// where push never reallocates.
-type pktQueue struct {
-	buf  []int32
-	head int
-}
-
-func (q *pktQueue) empty() bool   { return q.head >= len(q.buf) }
-func (q *pktQueue) len() int      { return len(q.buf) - q.head }
-func (q *pktQueue) front() int32  { return q.buf[q.head] }
-func (q *pktQueue) push(id int32) { q.buf = append(q.buf, id) }
-
-func (q *pktQueue) pop() {
-	q.head++
-	if q.head*2 >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
 }
 
 // bitset is a dense uint64 bit vector: the word-at-a-time replacement
